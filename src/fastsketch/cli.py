@@ -157,6 +157,7 @@ def _csv_meta(command: str, config: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "library_version": fastsketch.__version__,
+        "numpy_version": np.__version__,
         "command": command,
         "master_seed": config.get("seed"),
         "config": json.dumps(_jsonsafe(config), sort_keys=True, separators=(",", ":")),
@@ -569,6 +570,7 @@ def run(config: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "library_version": fastsketch.__version__,
+        "numpy_version": np.__version__,
         "command": command,
         "master_seed": config.get("seed"),
         "config": _public_config(config),

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fastsketch.rng import as_generator
-from fastsketch.transforms import (
-    ToeplitzSpec,
-    dft,
-    fwht,
-    is_power_of_two,
-    toeplitz_multiply,
-)
+from fastsketch.transforms import dft, fwht, is_power_of_two
 
 __all__ = [
     "KINDS",
@@ -93,6 +87,8 @@ class RowSource:
         if self.M < 1:
             raise ValueError(f"row count M must be positive, got {self.M}")
         if self.kind in ("partial_fourier", "partial_hadamard"):
+            if self.indices is None:
+                raise ValueError(f"{self.kind} source needs an indices payload")
             idx = np.asarray(self.indices, dtype=np.intp)
             if idx.shape != (self.M,):
                 raise ValueError(f"indices must have shape ({self.M},), got {idx.shape}")
@@ -172,41 +168,12 @@ def _eps_spectrum(src: RowSource) -> np.ndarray:
     return cached
 
 
-def _circulant_blocked(eps: np.ndarray, x: np.ndarray, M: int) -> np.ndarray:
-    """First M entries of eps (*) x via M x M Toeplitz blocks.
-
-    Column block c of the partial circulant is Toeplitz with entries
-    eps[(j - t - c*M) mod d]; summing the per-block products over the
-    ceil(d/M) blocks costs O(d log M) instead of O(d log d).
-    """
-    d = eps.shape[0]
-    offsets = np.arange(M)
-    out = np.zeros(x.shape[:-1] + (M,), dtype=np.complex128)
-    for start in range(0, d, M):
-        width = min(M, d - start)
-        col = eps[(offsets - start) % d]
-        row = eps[(-offsets - start) % d]
-        chunk = np.zeros(x.shape[:-1] + (M,), dtype=np.complex128)
-        chunk[..., :width] = x[..., start : start + width]
-        out += toeplitz_multiply(ToeplitzSpec(first_row=row, first_column=col), chunk)
-    return out
-
-
-def _use_blocked(d: int, M: int) -> bool:
-    # Per-call cost: blocked ~ 6 d log(2M), full ~ 3 d log(d).
-    return (2 * M) ** 2 <= d
-
-
-def apply_rows(
-    src: RowSource, x: np.ndarray, *, circulant_method: str = "auto"
-) -> np.ndarray:
-    """Compute A @ x along the last axis in O(d log d) (or O(d log M)).
+def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
+    """Compute A @ x along the last axis in O(d log d).
 
     Fourier/Hadamard sources run the full transform and gather the
-    sampled rows; circulant sources either convolve with eps and keep
-    the first M entries (``"full"``) or use the blocked-Toeplitz path
-    (``"blocked"``).  ``"auto"`` picks whichever is cheaper.  Both
-    circulant paths agree to ~1e-12.
+    sampled rows; circulant sources convolve with eps through its cached
+    spectrum and keep the first M entries.
     """
     x = _check_last_axis(x, src.d, "apply_rows")
     if src.kind == "partial_fourier":
@@ -214,12 +181,6 @@ def apply_rows(
     if src.kind == "partial_hadamard":
         return fwht(x)[..., src.indices]
     if src.kind == "partial_circulant":
-        if circulant_method not in ("auto", "blocked", "full"):
-            raise ValueError(f"unknown circulant method {circulant_method!r}")
-        if circulant_method == "blocked" or (
-            circulant_method == "auto" and _use_blocked(src.d, src.M)
-        ):
-            return _circulant_blocked(src.eps, x, src.M)
         return dft(_eps_spectrum(src) * dft(x), "inverse")[..., : src.M]
     return np.asarray(x, dtype=np.complex128) @ src.matrix.T
 

@@ -126,12 +126,12 @@ def build_sketch(d: int, m: int, B: int, kind: str, seed: int) -> SketchOperator
     return SketchOperator(source=source, signs=signs, seed=seed)
 
 
-def apply(op: SketchOperator, x: np.ndarray, *, circulant_method: str = "auto") -> np.ndarray:
+def apply(op: SketchOperator, x: np.ndarray) -> np.ndarray:
     """Compute (1/sqrt(mB)) * Phi @ x along the last axis.
 
     One fast source multiply, then signed bucket sums: O(d log d + mB).
     """
-    y = apply_rows(op.source, x, circulant_method=circulant_method)
+    y = apply_rows(op.source, x)
     buckets = y.reshape(y.shape[:-1] + (op.m, op.B))
     return op.scale * np.sum(op.signs * buckets, axis=-1)
 

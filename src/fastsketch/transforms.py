@@ -1,9 +1,10 @@
-"""Radix-2 spectral kernels.
+"""Spectral kernels on power-of-two lengths.
 
-Unnormalized complex FFT, fast Walsh-Hadamard transform, circular
-convolution, and Toeplitz multiplication via circulant embedding.  All
-routines operate along the last axis (leading axes are treated as a
-batch) and are restricted to power-of-two lengths; callers zero-pad.
+Unnormalized complex DFT (on numpy's FFT), fast Walsh-Hadamard
+transform, circular convolution, and Toeplitz multiplication via
+circulant embedding.  All routines operate along the last axis (leading
+axes are treated as a batch) and are restricted to power-of-two
+lengths; callers zero-pad.
 
 The forward DFT is unnormalized, y_j = sum_t x_t exp(-2*pi*i*j*t/n), so
 that every transform row has entries of modulus exactly one.  The single
@@ -26,11 +27,6 @@ __all__ = [
     "toeplitz_multiply",
 ]
 
-# Bit-reversal permutations and twiddle tables, keyed by length.  Built
-# deterministically on first use; concurrent first calls may recompute
-# the same arrays, after which the cache is read-only.
-_TABLES: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
-
 
 def is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
@@ -51,69 +47,26 @@ def _require_power_of_two(n: int, what: str) -> None:
         )
 
 
-def _tables(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    cached = _TABLES.get(n)
-    if cached is not None:
-        return cached
-    stages = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(stages):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    twiddles = []
-    size = 2
-    while size <= n:
-        k = np.arange(size // 2)
-        twiddles.append(np.exp((-2j * np.pi / size) * k))
-        size *= 2
-    _TABLES[n] = (rev, twiddles)
-    return _TABLES[n]
-
-
-def _fft_core(x: np.ndarray, conjugated: bool) -> np.ndarray:
-    n = x.shape[-1]
-    rev, twiddles = _tables(n)
-    y = np.ascontiguousarray(x[..., rev], dtype=np.complex128)
-    out_shape = y.shape
-    y = y.reshape(-1, n)
-    scratch = np.empty((y.shape[0], n // 2), dtype=np.complex128) if n > 1 else None
-    size = 2
-    for w in twiddles:
-        half = size // 2
-        blocks = y.reshape(-1, n // size, size)
-        even = blocks[:, :, :half]
-        odd = blocks[:, :, half:]
-        odd *= np.conj(w) if conjugated else w
-        diff = scratch.reshape(even.shape)
-        np.subtract(even, odd, out=diff)
-        even += odd
-        blocks[:, :, half:] = diff
-        size *= 2
-    return y.reshape(out_shape)
-
-
 def dft(x: np.ndarray, direction: str = "forward") -> np.ndarray:
     """Discrete Fourier transform along the last axis.
 
     ``forward`` computes the unnormalized sum y_j = sum_t x_t e^{-2pi i jt/n};
-    ``inverse`` computes the conjugate transform scaled by 1/n (i.e. the
-    same butterfly network with conjugated twiddles), so that
+    ``inverse`` computes the conjugate transform scaled by 1/n, so that
     ``dft(dft(x), "inverse")`` recovers ``x``.  Length must be a power of
-    two.  Iterative decimation-in-time with precomputed twiddle tables;
-    output is bit-stable for a fixed input.
+    two.  The input is copied once to complex128 and transformed in place
+    by numpy's FFT; output is bit-stable for a fixed input and a fixed
+    numpy version.
     """
     x = np.asarray(x)
     if x.ndim == 0:
         raise ValueError("dft expects an array with at least one axis")
     _require_power_of_two(x.shape[-1], "dft length")
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    y = np.array(x, dtype=np.complex128)
     if direction == "forward":
-        return _fft_core(x, conjugated=False)
-    if direction == "inverse":
-        y = _fft_core(x, conjugated=True)
-        y *= 1.0 / x.shape[-1]
-        return y
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+        return np.fft.fft(y, out=y)
+    return np.fft.ifft(y, out=y)
 
 
 def fwht(x: np.ndarray) -> np.ndarray:

@@ -52,6 +52,7 @@ def test_plan_writes_json_to_stdout(capsys):
     assert report["command"] == "plan"
     assert report["results"]["plan"]["B"] >= 1
     assert report["schema_version"] == 1
+    assert report["numpy_version"] == np.__version__
     assert report["master_seed"] is None
 
 
@@ -144,6 +145,7 @@ def test_jl_command_artifacts(tmp_path):
     assert 0 <= rep["results"]["median_epsilon_hat"]
     lines = csv.read_text().splitlines()
     assert lines[0].startswith("# schema_version=")
+    assert f"# numpy_version={np.__version__}" in lines
     header_at = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
     assert lines[header_at].split(",")[0] == "trial"
     assert len(lines) == header_at + 1 + 3

@@ -198,35 +198,6 @@ def test_dimension_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# circulant blocked path
-
-
-def test_blocked_equals_full_convolution_path():
-    rng = np.random.default_rng(61)
-    for d, M in ((64, 4), (64, 12), (64, 64), (256, 16)):
-        src = sample_partial_circulant(d, M, int(rng.integers(1 << 30)))
-        x = random_complex(rng, d)
-        full = apply_rows(src, x, circulant_method="full")
-        blocked = apply_rows(src, x, circulant_method="blocked")
-        assert np.abs(full - blocked).max() <= 1e-9
-
-
-def test_blocked_auto_selection_is_transparent():
-    rng = np.random.default_rng(67)
-    src = sample_partial_circulant(4096, 8, 71)  # (2M)^2 <= d: auto picks blocked
-    x = random_complex(rng, 4096)
-    auto = apply_rows(src, x)
-    full = apply_rows(src, x, circulant_method="full")
-    assert np.abs(auto - full).max() <= 1e-9
-
-
-def test_unknown_circulant_method_rejected():
-    src = sample_partial_circulant(8, 2, 5)
-    with pytest.raises(ValueError, match="method"):
-        apply_rows(src, np.zeros(8), circulant_method="banana")
-
-
-# ---------------------------------------------------------------------------
 # per-row isometry in expectation
 
 
@@ -256,6 +227,22 @@ def test_json_roundtrip(kind):
     back = row_source_from_json_dict(doc)
     assert back.kind == src.kind and back.d == src.d and back.M == src.M
     np.testing.assert_array_equal(densify(back), densify(src))
+
+
+@pytest.mark.parametrize(
+    "kind, payload, message",
+    [
+        ("fourier", "indices", "indices"),
+        ("hadamard", "indices", "indices"),
+        ("circulant", "eps", "eps"),
+        ("gaussian", "matrix", "gaussian payload"),
+    ],
+)
+def test_json_without_payload_rejected(kind, payload, message):
+    doc = row_source_to_json_dict(sample_any(kind, 8, 4, 83))
+    del doc[payload]
+    with pytest.raises(ValueError, match=message):
+        row_source_from_json_dict(doc)
 
 
 def test_normalize_kind_aliases():

@@ -157,18 +157,6 @@ def test_linearity_in_scale():
     np.testing.assert_allclose(apply(op, 3.5 * x), 3.5 * apply(op, x), atol=1e-12)
 
 
-def test_circulant_method_flag_agreement():
-    # reference full-convolution path and blocked-Toeplitz path behind the
-    # same signature must agree tightly
-    op = build_sketch(256, 4, 8, "circulant", seed=51)
-    x = random_complex(np.random.default_rng(14), 256)
-    full = apply(op, x, circulant_method="full")
-    blocked = apply(op, x, circulant_method="blocked")
-    auto = apply(op, x)
-    assert np.abs(full - blocked).max() <= 1e-9
-    assert np.abs(full - auto).max() <= 1e-9
-
-
 def test_batched_apply_matches_loop():
     op = build_sketch(64, 4, 8, "circulant", seed=53)
     rng = np.random.default_rng(15)

@@ -1,5 +1,7 @@
 """Transform kernels against naive quadratic oracles and exact identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,27 @@ class TestDft:
     def test_bit_stable(self):
         x = random_complex(np.random.default_rng(9), 256)
         np.testing.assert_array_equal(dft(x), dft(x))
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_leaves_complex_input_unmodified(self, direction):
+        x = random_complex(np.random.default_rng(15), 64)
+        before = x.copy()
+        out = dft(x, direction)
+        assert not np.shares_memory(out, x)
+        np.testing.assert_array_equal(x, before)
+
+    def test_real_batch_peak_memory_is_one_output(self):
+        # the complex copy is transformed in place, so a real batch costs
+        # one complex128 output, not an input copy plus an output
+        x = np.random.default_rng(17).standard_normal((64, 4096))
+        dft(x)  # first call may build numpy's FFT plan cache
+        tracemalloc.start()
+        try:
+            out = dft(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
