@@ -56,6 +56,7 @@ from fastsketch.sketch import (
     apply_adjoint,
     bucket_index,
     build_sketch,
+    columns,
     densify_sketch,
     dump_arrays,
     sketch_from_json_dict,

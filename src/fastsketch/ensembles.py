@@ -1,4 +1,4 @@
-"""Structured row ensembles: sampling, fast application, and densification.
+"""Structured row ensembles: sampling, fast application, and closed-form columns.
 
 A :class:`RowSource` is a compact description of an M x d matrix A whose
 rows come from one of four families:
@@ -35,6 +35,7 @@ __all__ = [
     "sample_dense_gaussian",
     "apply_rows",
     "apply_rows_adjoint",
+    "source_columns",
     "densify",
     "row_source_to_json_dict",
     "row_source_from_json_dict",
@@ -207,6 +208,33 @@ def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
     return np.asarray(y, dtype=np.complex128) @ src.matrix
 
 
+def source_columns(src: RowSource, cols: np.ndarray) -> np.ndarray:
+    """A[:, cols] from the closed form of each entry, shape (M,) + cols.shape.
+
+    No transform runs.  ``cols`` must be an integer array of at least one
+    dimension with entries in [0, d).
+    """
+    cols = np.asarray(cols)
+    if cols.ndim == 0 or not np.issubdtype(cols.dtype, np.integer):
+        raise ValueError(
+            f"columns must be an integer array of at least one dimension, "
+            f"got dtype {cols.dtype} and shape {cols.shape}"
+        )
+    if cols.size and (cols.min() < 0 or cols.max() >= src.d):
+        raise ValueError(f"column indices out of range [0, {src.d})")
+    if src.kind == "partial_fourier":
+        # Reducing the phase in integers keeps every entry accurate to
+        # rounding at any d; exp of the unreduced product would not.
+        roots = np.exp((-2j * np.pi / src.d) * np.arange(src.d))
+        return roots[np.multiply.outer(src.indices, cols) % src.d]
+    if src.kind == "partial_hadamard":
+        parity = np.bitwise_count(np.bitwise_and.outer(src.indices, cols)) & 1
+        return np.where(parity == 0, 1.0, -1.0).astype(np.complex128)
+    if src.kind == "partial_circulant":
+        return src.eps[np.subtract.outer(np.arange(src.M), cols) % src.d].astype(np.complex128)
+    return src.matrix[:, cols].astype(np.complex128)
+
+
 def densify(src: RowSource, *, cap: int = DENSIFY_CAP) -> np.ndarray:
     """Materialize A as an explicit M x d complex matrix (test oracle).
 
@@ -217,23 +245,7 @@ def densify(src: RowSource, *, cap: int = DENSIFY_CAP) -> np.ndarray:
             f"densify would materialize {src.M}x{src.d} = {src.M * src.d} entries, "
             f"exceeding the cap of {cap}"
         )
-    return _dense_rows(src, 0, src.M)
-
-
-def _dense_rows(src: RowSource, start: int, stop: int) -> np.ndarray:
-    """Rows [start, stop) of the densified source, without a cap check."""
-    cols = np.arange(src.d)
-    if src.kind == "partial_fourier":
-        idx = src.indices[start:stop]
-        return np.exp((-2j * np.pi / src.d) * np.outer(idx, cols))
-    if src.kind == "partial_hadamard":
-        idx = src.indices[start:stop]
-        parity = np.bitwise_count(idx[:, None] & cols[None, :]) & 1
-        return np.where(parity == 0, 1.0, -1.0).astype(np.complex128)
-    if src.kind == "partial_circulant":
-        shifts = np.arange(start, stop)[:, None] - cols[None, :]
-        return src.eps[shifts % src.d].astype(np.complex128)
-    return src.matrix[start:stop].astype(np.complex128)
+    return source_columns(src, np.arange(src.d))
 
 
 def row_source_to_json_dict(src: RowSource) -> dict:

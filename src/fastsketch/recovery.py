@@ -1,9 +1,11 @@
 """Sparse-recovery solvers driven by matrix-free operator application.
 
-Both solvers touch the operator only through ``apply``/``apply_adjoint``,
-one of each per iteration, which is the whole point of having a fast
-sketch.  Complex signals are supported end to end; thresholding keeps
-the entries of largest modulus, breaking ties toward the smaller index.
+Neither solver materializes the operator.  Each iteration makes one
+``apply`` and one ``apply_adjoint``; CoSaMP also takes the at most 3k
+columns of its merged support from ``columns``, in closed form and
+without a transform.  Complex signals are supported end to end;
+thresholding keeps the entries of largest modulus, breaking ties toward
+the smaller index.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fastsketch.sketch import SketchOperator, apply, apply_adjoint
+from fastsketch.sketch import SketchOperator, apply, apply_adjoint, columns
 
 __all__ = [
     "SparseSignal",
@@ -172,13 +174,6 @@ def iht(
     )
 
 
-def _columns(op: SketchOperator, support: np.ndarray) -> np.ndarray:
-    """Extract the m x |support| submatrix of Phi by applying basis vectors."""
-    basis = np.zeros((support.size, op.d), dtype=np.float64)
-    basis[np.arange(support.size), support] = 1.0
-    return apply(op, basis).T
-
-
 def cosamp(
     op: SketchOperator,
     y: np.ndarray,
@@ -189,10 +184,10 @@ def cosamp(
     """Compressive sampling matching pursuit.
 
     Per iteration: take the top-2k support of the adjoint proxy, merge
-    with the current support, least-squares on the merged columns (normal
-    equations with a 1e-12 diagonal ridge), prune to the top k.  A
-    singular least-squares system sets ``converged=False`` and stops
-    instead of raising.
+    with the current support, least-squares on the merged columns taken
+    from ``columns`` (normal equations with a 1e-12 diagonal ridge),
+    prune to the top k.  A singular least-squares system sets
+    ``converged=False`` and stops instead of raising.
     """
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (op.m,):
@@ -218,7 +213,7 @@ def cosamp(
         if merged.size == 0:
             x_new = np.zeros_like(x)
         else:
-            cols = _columns(op, merged)
+            cols = columns(op, merged)
             gram = np.conj(cols.T) @ cols + 1e-12 * np.eye(merged.size)
             try:
                 coef = np.linalg.solve(gram, np.conj(cols.T) @ y)

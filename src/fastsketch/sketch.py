@@ -20,13 +20,13 @@ import numpy as np
 from fastsketch.ensembles import (
     DENSIFY_CAP,
     RowSource,
-    _dense_rows,
     apply_rows,
     apply_rows_adjoint,
     normalize_kind,
     sample_bounded_orthogonal,
     sample_dense_gaussian,
     sample_partial_circulant,
+    source_columns,
 )
 from fastsketch.rng import derive_seed, stream
 from fastsketch.transforms import next_power_of_two
@@ -37,6 +37,7 @@ __all__ = [
     "build_sketch",
     "apply",
     "apply_adjoint",
+    "columns",
     "densify_sketch",
     "sketch_to_json_dict",
     "sketch_from_json_dict",
@@ -145,6 +146,17 @@ def apply_adjoint(op: SketchOperator, z: np.ndarray) -> np.ndarray:
     return apply_rows_adjoint(op.source, w.reshape(z.shape[:-1] + (op.m * op.B,)))
 
 
+def columns(op: SketchOperator, support: np.ndarray) -> np.ndarray:
+    """(1/sqrt(mB)) * Phi[:, support], shape (..., m, k) for a support (..., k).
+
+    Signed bucket sums of ``source_columns``: O(mB) per column, no transform.
+    """
+    support = np.asarray(support)
+    cols = source_columns(op.source, support).reshape((op.m, op.B) + support.shape)
+    sums = np.einsum("bi,bi...->b...", op.signs, cols)
+    return op.scale * np.moveaxis(sums, 0, -2)
+
+
 def densify_sketch(op: SketchOperator, *, cap: int = DENSIFY_CAP) -> np.ndarray:
     """Materialize the m x d operator, row b = scale * sum_i signs[b,i] a_{h(b,i)}."""
     if op.m * op.d > cap:
@@ -152,14 +164,10 @@ def densify_sketch(op: SketchOperator, *, cap: int = DENSIFY_CAP) -> np.ndarray:
             f"densify_sketch would materialize {op.m}x{op.d} entries, exceeding cap {cap}"
         )
     out = np.empty((op.m, op.d), dtype=np.complex128)
-    # Densify source rows bucket-by-bucket so the (m*B) x d intermediate
-    # never exceeds the cap either.
-    bucket_chunk = max(1, cap // max(1, op.B * op.d))
-    for b0 in range(0, op.m, bucket_chunk):
-        b1 = min(op.m, b0 + bucket_chunk)
-        rows = _dense_rows(op.source, b0 * op.B, b1 * op.B)
-        blocks = rows.reshape(b1 - b0, op.B, op.d)
-        out[b0:b1] = op.scale * np.einsum("bi,bid->bd", op.signs[b0:b1], blocks)
+    # Column chunks keep the (m*B) x chunk source intermediate within the cap.
+    chunk = max(1, cap // op.source.M)
+    for c0 in range(0, op.d, chunk):
+        out[:, c0 : c0 + chunk] = columns(op, np.arange(c0, min(op.d, c0 + chunk)))
     return out
 
 

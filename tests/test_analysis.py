@@ -90,6 +90,28 @@ class TestMonteCarloRip:
         bound = mc_rip_lower_bound(op, 1, trials=20, rng=3).epsilon
         assert bound <= 1e-10
 
+    @pytest.mark.parametrize("kind", ["fourier", "hadamard", "circulant", "gaussian"])
+    @pytest.mark.parametrize("d, m, B, k", [(128, 64, 2, 3), (1024, 256, 2, 5)])
+    def test_batches_match_per_trial_reference(self, kind, d, m, B, k):
+        from fastsketch.analysis import _CHUNK
+        from fastsketch.sketch import apply
+
+        op = build_sketch(d, m, B, kind, seed=131)
+        trials = 2 * (_CHUNK // m) + 3  # more than two batches
+        gen = np.random.default_rng(17)
+        got = mc_rip_lower_bound(op, k, trials=trials, rng=gen).epsilon
+        ref_gen = np.random.default_rng(17)
+        want = 0.0
+        for _ in range(trials):
+            support = np.sort(ref_gen.choice(d, size=k, replace=False))
+            basis = np.zeros((k, d))
+            basis[np.arange(k), support] = 1.0
+            sv = np.linalg.svd(apply(op, basis).T, compute_uv=False)
+            want = max(want, sv[0] ** 2 - 1.0, 1.0 - sv[-1] ** 2)
+        assert got == pytest.approx(want, abs=1e-12)
+        # The supports are drawn one per trial, in trial order.
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
     def test_reports_seed_and_trials(self):
         op = build_sketch(16, 4, 2, "fourier", seed=109)
         rep = mc_rip_lower_bound(op, 2, trials=7, rng=11)

@@ -183,6 +183,16 @@ def test_structured_rows_have_unit_modulus():
         np.testing.assert_allclose(np.abs(dense), 1.0, atol=1e-12)
 
 
+def test_fourier_densify_accurate_at_large_d():
+    # Entries of large phase idx * col are where an unreduced exp loses digits.
+    d = 2**16
+    src = sample_bounded_orthogonal(d, 8, "fourier", 59)
+    cols = np.array([1, d // 3, d - 2, d - 1])
+    basis = np.zeros((cols.size, d))
+    basis[np.arange(cols.size), cols] = 1.0
+    np.testing.assert_allclose(densify(src)[:, cols], apply_rows(src, basis).T, rtol=0, atol=1e-13)
+
+
 def test_densify_cap():
     src = sample_bounded_orthogonal(16, 8, "fourier", 3)
     with pytest.raises(ValueError, match="cap"):

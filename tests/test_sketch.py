@@ -10,6 +10,7 @@ from fastsketch.sketch import (
     apply_adjoint,
     bucket_index,
     build_sketch,
+    columns,
     densify_sketch,
     sketch_from_json_dict,
     sketch_to_json_dict,
@@ -198,13 +199,29 @@ def test_flipping_all_signs_negates():
     np.testing.assert_array_equal(densify_sketch(flipped), -densify_sketch(op))
 
 
-def test_dense_columns_match_basis_applications():
-    op = build_sketch(32, 4, 4, "circulant", seed=71)
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_dense_columns_match_basis_applications(kind):
+    op = build_sketch(32, 4, 4, kind, seed=71)
     dense = densify_sketch(op)
     for j in (0, 7, 31):
         e = np.zeros(32)
         e[j] = 1.0
         np.testing.assert_allclose(apply(op, e), dense[:, j], atol=1e-11)
+    # A cap of m*d forces several column chunks of the m*B source rows.
+    np.testing.assert_array_equal(densify_sketch(op, cap=op.m * op.d), dense)
+    support = np.array([[0, 7, 31], [2, 3, 16]])  # (n, k) -> (n, m, k)
+    basis = np.eye(32)[support]
+    np.testing.assert_allclose(
+        columns(op, support), np.swapaxes(apply(op, basis), -1, -2), atol=1e-11
+    )
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_columns_rejects_bad_support(kind):
+    op = build_sketch(32, 4, 4, kind, seed=71)
+    for support in ([0.0, 1.0], 3, [0, -1], [0, 32]):
+        with pytest.raises(ValueError, match="column"):
+            columns(op, np.array(support))
 
 
 def test_densify_cap_enforced():
