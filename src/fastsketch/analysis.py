@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from fastsketch.ensembles import densify, normalize_kind
-from fastsketch.rng import as_generator, stream
+from fastsketch.rng import as_generator
 # ``apply`` is unused here but stays importable as ``analysis.apply``:
 # the tracer self-test in perfbench/ checks that alias.
 from fastsketch.sketch import SketchOperator, apply, columns  # noqa: F401
@@ -42,9 +42,6 @@ __all__ = [
 SUPPORT_CAP = 10**6
 
 _CHUNK = 4096
-
-# Fixed start-vector seed so spectral-norm estimates are deterministic.
-_POWER_ITERATION_SEED = 714025
 
 
 @dataclass(frozen=True)
@@ -203,16 +200,10 @@ class OperatorNorms(NamedTuple):
     two_to_two: float
 
 
-def operator_norms(
-    mat: np.ndarray, *, tol: float = 1e-8, max_iters: int = 10_000
-) -> OperatorNorms:
+def operator_norms(mat: np.ndarray) -> OperatorNorms:
     """(max column abs sum, max row abs sum, spectral norm) of a matrix.
 
-    The spectral norm uses power iteration on A*A from a fixed
-    pseudo-random start vector; if the iteration has not met ``tol`` by
-    ``max_iters`` and the matrix is at most 64 x 64, it falls back to a
-    full eigendecomposition.  Power-iteration estimates never exceed the
-    true norm.
+    The spectral norm is the largest singular value, computed exactly.
     """
     a = np.asarray(mat, dtype=np.complex128)
     if a.ndim != 2:
@@ -224,29 +215,7 @@ def operator_norms(
         return OperatorNorms(0.0, 0.0, 0.0)
     one = float(absa.sum(axis=0).max())
     inf = float(absa.sum(axis=1).max())
-
-    gen = stream(_POWER_ITERATION_SEED)
-    v = gen.standard_normal(a.shape[1]) + 1j * gen.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    converged = False
-    for _ in range(max_iters):
-        u = a @ v
-        new_sigma = float(np.linalg.norm(u))
-        if new_sigma == 0.0:
-            v = gen.standard_normal(a.shape[1]) + 1j * gen.standard_normal(a.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        w = np.conj(a.T) @ u
-        v = w / np.linalg.norm(w)
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            sigma = new_sigma
-            converged = True
-            break
-        sigma = new_sigma
-    if not converged and max(a.shape) <= 64:
-        sigma = float(np.sqrt(np.linalg.eigvalsh(np.conj(a.T) @ a)[-1].real))
-    return OperatorNorms(one, inf, sigma)
+    return OperatorNorms(one, inf, float(np.linalg.norm(a, 2)))
 
 
 def complexify_vector(x: np.ndarray) -> np.ndarray:

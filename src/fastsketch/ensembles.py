@@ -224,9 +224,12 @@ def source_columns(src: RowSource, cols: np.ndarray) -> np.ndarray:
         raise ValueError(f"column indices out of range [0, {src.d})")
     if src.kind == "partial_fourier":
         # Reducing the phase in integers keeps every entry accurate to
-        # rounding at any d; exp of the unreduced product would not.
+        # rounding at any d; exp of the unreduced product would not.  The
+        # reduction runs in place, so no second index block is allocated.
         roots = np.exp((-2j * np.pi / src.d) * np.arange(src.d))
-        return roots[np.multiply.outer(src.indices, cols) % src.d]
+        phase = np.multiply.outer(src.indices, cols)
+        phase %= src.d
+        return roots[phase]
     if src.kind == "partial_hadamard":
         parity = np.bitwise_count(np.bitwise_and.outer(src.indices, cols)) & 1
         return np.where(parity == 0, 1.0, -1.0).astype(np.complex128)

@@ -1,11 +1,12 @@
 """Sparse-recovery solvers driven by matrix-free operator application.
 
-Neither solver materializes the operator.  Each iteration makes one
-``apply`` and one ``apply_adjoint``; CoSaMP also takes the at most 3k
-columns of its merged support from ``columns``, in closed form and
-without a transform.  Complex signals are supported end to end;
-thresholding keeps the entries of largest modulus, breaking ties toward
-the smaller index.
+Neither solver materializes the operator.  Both run one loop, and each
+iteration makes one ``apply`` and one ``apply_adjoint``.  Both solvers
+also read columns of their current support through ``columns``, in
+closed form and without a transform: IHT the at most k columns that set
+its step size, CoSaMP the at most 3k columns of its merged support.
+Complex signals are supported end to end; thresholding keeps the
+entries of largest modulus, breaking ties toward the smaller index.
 """
 
 from __future__ import annotations
@@ -127,22 +128,20 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
     return diff / denom
 
 
-def iht(
-    op: SketchOperator,
-    y: np.ndarray,
-    k: int,
-    max_iters: int = 500,
-    tol: float = 1e-10,
-) -> RecoveryResult:
-    """Iterative hard thresholding with unit step size.
+def _solve(op: SketchOperator, y: np.ndarray, k: int, max_iters: int, tol: float, update):
+    """The iteration shared by the solvers.
 
-    Iterates x <- threshold_k(x + Phi*(y - Phi x)) from x = 0 and stops
-    when the relative iterate change drops to ``tol`` or after
-    ``max_iters`` iterations.
+    From x = 0, each iteration computes r = y - Phi x and g = Phi* r and
+    takes x <- update(x, g).  It stops when the relative iterate change
+    drops to ``tol`` (converged), after ``max_iters`` iterations, or when
+    ``update`` returns None (not converged).  The estimate is the final
+    iterate thresholded to k terms.
     """
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (op.m,):
         raise ValueError(f"measurements must have shape ({op.m},), got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("measurements must be finite")
     if not 0 <= k <= op.d:
         raise ValueError(f"sparsity k must lie in [0, {op.d}], got {k}")
     if max_iters < 1:
@@ -152,26 +151,52 @@ def iht(
     x = np.zeros(op.d, dtype=np.complex128)
     residual_norms = []
     converged = False
-    iterations = 0
     for _ in range(max_iters):
-        iterations += 1
         r = y - apply(op, x)
         residual_norms.append(float(np.linalg.norm(r)))
-        x_new = hard_threshold(x + apply_adjoint(op, r), k).to_dense()
+        x_new = update(x, apply_adjoint(op, r))
+        if x_new is None:
+            break
         change = _relative_change(x_new, x)
         x = x_new
         if change <= tol:
             converged = True
             break
-    estimate = hard_threshold(x, k)
-    final_residual = float(np.linalg.norm(y - apply(op, x)))
     return RecoveryResult(
-        estimate=estimate,
-        iterations_used=iterations,
-        residual_norm=final_residual,
+        estimate=hard_threshold(x, k),
+        iterations_used=len(residual_norms),
+        residual_norm=float(np.linalg.norm(y - apply(op, x))),
         converged=converged,
         residual_norms=tuple(residual_norms),
     )
+
+
+def iht(
+    op: SketchOperator,
+    y: np.ndarray,
+    k: int,
+    max_iters: int = 500,
+    tol: float = 1e-10,
+) -> RecoveryResult:
+    """Normalized iterative hard thresholding (Blumensath & Davies, 2010).
+
+    Iterates x <- threshold_k(x + mu g) with g = Phi*(y - Phi x), from
+    x = 0.  The step mu = ||g_S||^2 / ||Phi g_S||^2 is exact line search
+    on the support S of x (the top k of g while x = 0), with Phi g_S
+    taken from ``columns``; mu = 1 when Phi g_S = 0.  Stops when the
+    relative iterate change drops to ``tol`` or after ``max_iters``
+    iterations.
+    """
+
+    def update(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        support = np.flatnonzero(x) if x.any() else _top_k_indices(g, k)
+        g_s = g[support]
+        phi_g_s = columns(op, support) @ g_s
+        curvature = float(np.vdot(phi_g_s, phi_g_s).real)
+        mu = float(np.vdot(g_s, g_s).real) / curvature if curvature > 0 else 1.0
+        return hard_threshold(x + mu * g, k).to_dense()
+
+    return _solve(op, y, k, max_iters, tol, update)
 
 
 def cosamp(
@@ -189,53 +214,27 @@ def cosamp(
     prune to the top k.  A singular least-squares system sets
     ``converged=False`` and stops instead of raising.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    if y.shape != (op.m,):
-        raise ValueError(f"measurements must have shape ({op.m},), got {y.shape}")
-    if not 0 <= k <= op.d:
-        raise ValueError(f"sparsity k must lie in [0, {op.d}], got {k}")
     if 3 * k > op.d:
         raise ValueError(f"cosamp needs 3k <= d, got k={k}, d={op.d}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    x = np.zeros(op.d, dtype=np.complex128)
-    residual_norms = []
-    converged = False
-    iterations = 0
-    for _ in range(max_iters):
-        iterations += 1
-        r = y - apply(op, x)
-        residual_norms.append(float(np.linalg.norm(r)))
-        proxy = apply_adjoint(op, r)
+    y = np.asarray(y, dtype=np.complex128)
+
+    def update(x: np.ndarray, proxy: np.ndarray) -> np.ndarray | None:
         proxy_support = _top_k_indices(proxy, min(2 * k, op.d))
         proxy_support = proxy_support[proxy[proxy_support] != 0]
         merged = np.union1d(proxy_support, np.flatnonzero(x != 0)).astype(np.intp)
         if merged.size == 0:
-            x_new = np.zeros_like(x)
-        else:
-            cols = columns(op, merged)
-            gram = np.conj(cols.T) @ cols + 1e-12 * np.eye(merged.size)
-            try:
-                coef = np.linalg.solve(gram, np.conj(cols.T) @ y)
-            except np.linalg.LinAlgError:
-                break
-            dense = np.zeros(op.d, dtype=np.complex128)
-            dense[merged] = coef
-            x_new = hard_threshold(dense, k).to_dense()
-        change = _relative_change(x_new, x)
-        x = x_new
-        if change <= tol:
-            converged = True
-            break
-    estimate = hard_threshold(x, k)
-    final_residual = float(np.linalg.norm(y - apply(op, x)))
-    return RecoveryResult(
-        estimate=estimate,
-        iterations_used=iterations,
-        residual_norm=final_residual,
-        converged=converged,
-        residual_norms=tuple(residual_norms),
-    )
+            return np.zeros_like(x)
+        cols = columns(op, merged)
+        gram = np.conj(cols.T) @ cols + 1e-12 * np.eye(merged.size)
+        try:
+            coef = np.linalg.solve(gram, np.conj(cols.T) @ y)
+        except np.linalg.LinAlgError:
+            return None
+        dense = np.zeros(op.d, dtype=np.complex128)
+        dense[merged] = coef
+        return hard_threshold(dense, k).to_dense()
+
+    return _solve(op, y, k, max_iters, tol, update)
 
 
 def l2l1_metrics(true_x: np.ndarray, estimate: SparseSignal, k: int) -> tuple[float, float]:

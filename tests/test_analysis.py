@@ -206,6 +206,13 @@ class TestOperatorNorms:
         a = random_complex(rng, 10, 10)
         assert operator_norms(a) == operator_norms(a)
 
+    @pytest.mark.parametrize("n", [8, 64, 200])
+    def test_spectral_norm_is_exact(self, n):
+        rng = np.random.default_rng(151)
+        a = random_complex(rng, n, n)
+        reference = scipy.linalg.svdvals(a)[0]
+        assert operator_norms(a).two_to_two == pytest.approx(reference, rel=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # complex-to-real embeddings

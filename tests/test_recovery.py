@@ -115,8 +115,9 @@ class TestIht:
         assert res.residual_norm <= tol
 
     def test_residual_increases_are_reported_not_hidden(self):
-        # marginal instance: the unit-step iteration oscillates, and the
-        # per-iteration residual trace must expose that
+        # marginal instance (m/k small): whatever the iteration does, the
+        # per-iteration residual trace must show every step, and a run that
+        # ends without converging must show where the residual went up
         op = build_sketch(128, 32, 4, "fourier", seed=104)
         x = plant_signal(np.random.default_rng(4), 128, 3)
         res = iht(op, apply(op, x), 3, max_iters=50, tol=1e-12)
@@ -137,6 +138,19 @@ class TestIht:
         op = build_sketch(64, 8, 4, "fourier", seed=21)
         with pytest.raises(ValueError, match="shape"):
             iht(op, np.zeros(16), 3)
+
+    @pytest.mark.parametrize("kind", ["hadamard", "circulant"])
+    def test_converges_where_a_unit_step_diverges(self, kind):
+        # ||Phi||_2 is large on these sources, so x + Phi* r with a unit
+        # step overshoots; the normalized step must still recover
+        d, k = 16384, 20
+        op = build_sketch(d, 400, 16, kind, seed=1000)
+        rng = np.random.default_rng(0)
+        x = np.zeros(d)
+        x[np.sort(rng.choice(d, k, replace=False))] = rng.standard_normal(k)
+        res = iht(op, apply(op, x), k)
+        assert res.converged
+        assert np.linalg.norm(res.estimate.to_dense() - x) <= 1e-6 * np.linalg.norm(x)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +198,29 @@ class TestCosamp:
         a, b = cosamp(op, y, 3), cosamp(op, y, 3)
         np.testing.assert_array_equal(a.estimate.to_dense(), b.estimate.to_dense())
         assert a.iterations_used == b.iterations_used
+
+
+# ---------------------------------------------------------------------------
+# input validation, shared by both solvers
+
+
+@pytest.mark.parametrize("solver", [iht, cosamp])
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"tol": -1.0}, "tol"),
+        ({"max_iters": 0}, "max_iters"),
+        ({"k": -1}, "sparsity"),
+        ({"y": np.array([1.0, np.nan, 0.0, 0.0])}, "finite"),
+        ({"y": np.array([np.inf, 0.0, 0.0, 0.0])}, "finite"),
+    ],
+    ids=["negative-tol", "zero-max-iters", "negative-k", "nan", "inf"],
+)
+def test_solvers_reject_bad_input(solver, bad, match):
+    op = build_sketch(64, 4, 2, "fourier", seed=53)
+    args = {"y": np.zeros(4), "k": 2, **bad}
+    with pytest.raises(ValueError, match=match):
+        solver(op, args.pop("y"), args.pop("k"), **args)
 
 
 # ---------------------------------------------------------------------------
