@@ -28,8 +28,6 @@ from fastsketch.ensembles import (
     apply_rows_adjoint,
     densify,
     normalize_kind,
-    row_source_from_json_dict,
-    row_source_to_json_dict,
     sample_bounded_orthogonal,
     sample_dense_gaussian,
     sample_partial_circulant,

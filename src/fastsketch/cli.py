@@ -11,19 +11,26 @@ Randomized subcommands refuse to run without an explicit ``--seed``;
 pass ``--seed auto`` to draw one (the drawn value is recorded).  Trials
 run on a worker pool sized by ``--threads`` (or ``FASTSKETCH_THREADS``,
 or the available parallelism); per-trial streams are derived from the
-master seed, so results do not depend on scheduling order.
+master seed, so results do not depend on scheduling order.  A pool of
+more than one worker runs with numpy's OpenBLAS pinned to one thread;
+reports record OpenBLAS's thread count outside the pool as
+``blas_threads`` (``null`` when numpy bundles no OpenBLAS).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import os
 import secrets
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +165,7 @@ def _csv_meta(command: str, config: dict) -> dict:
         "schema_version": SCHEMA_VERSION,
         "library_version": fastsketch.__version__,
         "numpy_version": np.__version__,
+        "blas_threads": _blas_threads(),
         "command": command,
         "master_seed": config.get("seed"),
         "config": json.dumps(_jsonsafe(config), sort_keys=True, separators=(",", ":")),
@@ -179,11 +187,68 @@ def _resolve_threads(explicit: int | None) -> int:
     return os.cpu_count() or 1
 
 
+@functools.cache
+def _openblas_thread_control():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        dll = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(dll, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(dll, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+#: Open ``_one_blas_thread`` blocks and the count to restore when the last closes.
+_BLAS_PIN = {"depth": 0, "saved": None}
+_BLAS_PIN_LOCK = threading.Lock()
+
+
+def _blas_threads() -> int | None:
+    """OpenBLAS's thread count outside trial pools, or None when it is not found."""
+    control = _openblas_thread_control()
+    if control is None:
+        return None
+    with _BLAS_PIN_LOCK:
+        return _BLAS_PIN["saved"] if _BLAS_PIN["depth"] else int(control[0]())
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread for the block, then restore its count.
+
+    Pool workers already occupy the cores; OpenBLAS threads on top of
+    them oversubscribe, and its small products run slower threaded.
+    Blocks may overlap (``run`` from several threads): the first to open
+    saves the count and the last to close restores it.
+    """
+    control = _openblas_thread_control()
+    if control is None:
+        yield
+        return
+    get, put = control
+    with _BLAS_PIN_LOCK:
+        if _BLAS_PIN["depth"] == 0:
+            _BLAS_PIN["saved"] = int(get())
+            put(1)
+        _BLAS_PIN["depth"] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_PIN_LOCK:
+            _BLAS_PIN["depth"] -= 1
+            if _BLAS_PIN["depth"] == 0:
+                put(_BLAS_PIN["saved"])
+
+
 def _map_trials(fn, n: int, threads: int) -> list:
     """Evaluate fn(0..n-1), merged in trial order regardless of scheduling."""
     if threads <= 1 or n <= 1:
         return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=min(threads, n)) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=min(threads, n)) as pool:
         return list(pool.map(fn, range(n)))
 
 
@@ -571,6 +636,7 @@ def run(config: dict) -> dict:
         "schema_version": SCHEMA_VERSION,
         "library_version": fastsketch.__version__,
         "numpy_version": np.__version__,
+        "blas_threads": _blas_threads(),
         "command": command,
         "master_seed": config.get("seed"),
         "config": _public_config(config),

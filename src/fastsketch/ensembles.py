@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fastsketch.rng import as_generator
-from fastsketch.transforms import dft, fwht, is_power_of_two
+from fastsketch.transforms import circular_convolve, dft, fwht, is_power_of_two
 
 __all__ = [
     "KINDS",
@@ -37,8 +37,6 @@ __all__ = [
     "apply_rows_adjoint",
     "source_columns",
     "densify",
-    "row_source_to_json_dict",
-    "row_source_from_json_dict",
 ]
 
 KINDS = ("partial_fourier", "partial_hadamard", "partial_circulant", "dense_gaussian")
@@ -170,20 +168,26 @@ def _eps_spectrum(src: RowSource) -> np.ndarray:
 
 
 def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
-    """Compute A @ x along the last axis in O(d log d).
+    """Compute A @ x along the last axis in O(d log d), as complex128.
 
     Fourier/Hadamard sources run the full transform and gather the
-    sampled rows; circulant sources convolve with eps through its cached
-    spectrum and keep the first M entries.
+    sampled rows; circulant sources convolve with eps and keep the first
+    M entries.  The transforms keep real input real, so only the M
+    gathered rows are cast to complex128.
     """
     x = _check_last_axis(x, src.d, "apply_rows")
     if src.kind == "partial_fourier":
-        return dft(x)[..., src.indices]
-    if src.kind == "partial_hadamard":
-        return fwht(x)[..., src.indices]
-    if src.kind == "partial_circulant":
-        return dft(_eps_spectrum(src) * dft(x), "inverse")[..., : src.M]
-    return np.asarray(x, dtype=np.complex128) @ src.matrix.T
+        y = dft(x)[..., src.indices]
+    elif src.kind == "partial_hadamard":
+        y = fwht(x)[..., src.indices]
+    elif src.kind == "dense_gaussian":
+        y = x @ src.matrix.T
+    elif np.iscomplexobj(x):
+        # Solvers apply one source to many complex iterates: reuse its spectrum.
+        y = dft(_eps_spectrum(src) * dft(x), "inverse")[..., : src.M]
+    else:
+        y = circular_convolve(src.eps, x)[..., : src.M]
+    return y.astype(np.complex128, copy=False)
 
 
 def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
@@ -249,33 +253,3 @@ def densify(src: RowSource, *, cap: int = DENSIFY_CAP) -> np.ndarray:
             f"exceeding the cap of {cap}"
         )
     return source_columns(src, np.arange(src.d))
-
-
-def row_source_to_json_dict(src: RowSource) -> dict:
-    """JSON-serializable description (payload included) of a row source."""
-    doc: dict = {
-        "schema_version": 1,
-        "kind": src.kind,
-        "d": src.d,
-        "M": src.M,
-        "seed": src.seed,
-    }
-    if src.indices is not None:
-        doc["indices"] = [int(i) for i in src.indices]
-    if src.eps is not None:
-        doc["eps"] = [int(e) for e in src.eps]
-    if src.matrix is not None:
-        doc["matrix"] = [[float(v) for v in row] for row in src.matrix]
-    return doc
-
-
-def row_source_from_json_dict(doc: dict) -> RowSource:
-    return RowSource(
-        kind=doc["kind"],
-        d=int(doc["d"]),
-        M=int(doc["M"]),
-        indices=None if "indices" not in doc else np.asarray(doc["indices"]),
-        eps=None if "eps" not in doc else np.asarray(doc["eps"], dtype=np.float64),
-        matrix=None if "matrix" not in doc else np.asarray(doc["matrix"], dtype=np.float64),
-        seed=doc.get("seed"),
-    )

@@ -99,11 +99,18 @@ class RecoveryResult:
 
 
 def _top_k_indices(x: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest-modulus entries; ties go to the smaller index."""
+    """Indices of the k largest-modulus entries, largest first; ties go to the smaller index.
+
+    A partition finds the k-th largest modulus in O(d); only the entries
+    at or above it are sorted.
+    """
     if k == 0:
         return np.empty(0, dtype=np.intp)
-    order = np.lexsort((np.arange(x.shape[0]), -np.abs(x)))
-    return order[:k]
+    neg = -np.abs(x)
+    # Not "<=": a NaN k-th value then keeps every entry, and the stable
+    # sort puts NaN last, as a full sort would.
+    candidates = np.flatnonzero(~(neg > np.partition(neg, k - 1)[k - 1]))
+    return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
 
 
 def hard_threshold(x: np.ndarray, k: int) -> SparseSignal:

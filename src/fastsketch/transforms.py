@@ -4,7 +4,11 @@ Unnormalized complex DFT (on numpy's FFT), fast Walsh-Hadamard
 transform, circular convolution, and Toeplitz multiplication via
 circulant embedding.  All routines operate along the last axis (leading
 axes are treated as a batch) and are restricted to power-of-two
-lengths; callers zero-pad.
+lengths; callers zero-pad.  The DFT and the Toeplitz product return
+complex128; the DFT of real input runs numpy's real FFT and mirrors the
+conjugate-symmetric half.  Circular convolution and the Walsh-Hadamard
+transform keep real input real (float64) and return complex128 for
+complex input.
 
 The forward DFT is unnormalized, y_j = sum_t x_t exp(-2*pi*i*j*t/n), so
 that every transform row has entries of modulus exactly one.  The single
@@ -53,9 +57,9 @@ def dft(x: np.ndarray, direction: str = "forward") -> np.ndarray:
     ``forward`` computes the unnormalized sum y_j = sum_t x_t e^{-2pi i jt/n};
     ``inverse`` computes the conjugate transform scaled by 1/n, so that
     ``dft(dft(x), "inverse")`` recovers ``x``.  Length must be a power of
-    two.  The input is copied once to complex128 and transformed in place
-    by numpy's FFT; output is bit-stable for a fixed input and a fixed
-    numpy version.
+    two.  Complex input is copied to complex128 and transformed in place;
+    real input runs the real FFT into half of the complex128 output.  The
+    output is bit-stable for a fixed input and a fixed numpy version.
     """
     x = np.asarray(x)
     if x.ndim == 0:
@@ -63,10 +67,25 @@ def dft(x: np.ndarray, direction: str = "forward") -> np.ndarray:
     _require_power_of_two(x.shape[-1], "dft length")
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    if not np.iscomplexobj(x):
+        # y_{n-j} = conj(y_j) for real x: transform half, mirror the rest.
+        n = x.shape[-1]
+        y = np.empty(x.shape, dtype=np.complex128)
+        real_fft = np.fft.rfft if direction == "forward" else np.fft.ihfft
+        real_fft(x.astype(np.float64, copy=False), out=y[..., : n // 2 + 1])
+        np.conjugate(y[..., n // 2 - 1 : 0 : -1], out=y[..., n // 2 + 1 :])
+        return y
     y = np.array(x, dtype=np.complex128)
     if direction == "forward":
         return np.fft.fft(y, out=y)
     return np.fft.ifft(y, out=y)
+
+
+#: H_16 and the smaller blocks a last factor may need; H[i, j] = (-1)^popcount(i & j).
+_SYLVESTER = {
+    n: 1.0 - 2.0 * (np.bitwise_count(np.bitwise_and.outer(np.arange(n), np.arange(n))) & 1)
+    for n in (1, 2, 4, 8, 16)
+}
 
 
 def fwht(x: np.ndarray) -> np.ndarray:
@@ -74,35 +93,38 @@ def fwht(x: np.ndarray) -> np.ndarray:
 
     H_1 = [1], H_{2n} = [[H_n, H_n], [H_n, -H_n]]; entries are +-1 and
     H is its own inverse up to the factor n: ``fwht(fwht(x)) == n * x``.
-    Length must be a power of two.
+    Length must be a power of two.  Real input is transformed in float64
+    and returns float64; complex input returns complex128, transformed
+    as its real and imaginary parts.  The input is not modified.
+
+    H_n is the Kronecker product of 16 x 16 Sylvester blocks and one
+    block of order 2^(log2 n mod 4), so each pass multiplies the leading
+    factor axis by one block and rotates that axis to the end.
     """
     x = np.asarray(x)
     if x.ndim == 0:
         raise ValueError("fwht expects an array with at least one axis")
     n = x.shape[-1]
     _require_power_of_two(n, "fwht length")
-    y = np.array(x, dtype=np.complex128, order="C")
-    out_shape = y.shape
-    y = y.reshape(-1, n)
-    scratch = np.empty((y.shape[0], n // 2), dtype=np.complex128) if n > 1 else None
-    size = 2
-    while size <= n:
-        half = size // 2
-        blocks = y.reshape(-1, n // size, size)
-        top = blocks[:, :, :half]
-        bot = blocks[:, :, half:]
-        diff = scratch.reshape(top.shape)
-        np.subtract(top, bot, out=diff)
-        top += bot
-        blocks[:, :, half:] = diff
-        size *= 2
-    return y.reshape(out_shape)
+    if np.iscomplexobj(x):
+        re, im = fwht(np.stack((x.real, x.imag)))
+        return re + 1j * im
+    y = np.asarray(x, dtype=np.float64).reshape(-1, n)
+    rest = n
+    while True:  # at least one pass, so the result never aliases x
+        f = min(16, rest)
+        y = (y.reshape(-1, f, n // f).transpose(0, 2, 1) @ _SYLVESTER[f]).reshape(-1, n)
+        rest //= f
+        if rest == 1:
+            return y.reshape(x.shape)
 
 
 def circular_convolve(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Cyclic convolution y_j = sum_i z_{(j-i) mod n} x_i via the DFT.
 
-    ``z`` and ``x`` must share a power-of-two last-axis length.
+    ``z`` and ``x`` must share a power-of-two last-axis length.  When
+    both are real the product runs on the real FFT and returns float64;
+    otherwise it returns complex128.
     """
     z = np.asarray(z)
     x = np.asarray(x)
@@ -111,6 +133,10 @@ def circular_convolve(z: np.ndarray, x: np.ndarray) -> np.ndarray:
             f"convolution length mismatch: kernel has {z.shape[-1]}, input has {x.shape[-1]}"
         )
     _require_power_of_two(x.shape[-1], "convolution length")
+    if not (np.iscomplexobj(z) or np.iscomplexobj(x)):
+        spectrum = np.fft.rfft(z.astype(np.float64, copy=False))
+        spectrum = spectrum * np.fft.rfft(x.astype(np.float64, copy=False))
+        return np.fft.irfft(spectrum, x.shape[-1])
     return dft(dft(z) * dft(x), "inverse")
 
 

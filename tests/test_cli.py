@@ -11,6 +11,9 @@ from fastsketch.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    _blas_threads,
+    _one_blas_thread,
+    _openblas_thread_control,
     main,
     run,
     strip_timing_fields,
@@ -181,6 +184,28 @@ def test_recover_threads_do_not_change_results(tmp_path):
     assert main(argv + ["--threads", "1", "--out", str(out1)]) == EXIT_OK
     assert main(argv + ["--threads", "4", "--out", str(out2)]) == EXIT_OK
     assert strip_timing_fields(read_json(out1)) == strip_timing_fields(read_json(out2))
+    assert read_json(out2)["blas_threads"] == _blas_threads()
+
+
+def test_overlapping_blas_pins_restore_the_count():
+    control = _openblas_thread_control()
+    if control is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    get, put = control
+    before = get()
+    put(2)
+    try:
+        count = get()
+        outer, inner = _one_blas_thread(), _one_blas_thread()
+        outer.__enter__()
+        inner.__enter__()
+        assert get() == 1 and _blas_threads() == count
+        outer.__exit__(None, None, None)  # the earlier block closes first
+        assert get() == 1
+        inner.__exit__(None, None, None)
+        assert get() == count and _blas_threads() == count
+    finally:
+        put(before)
 
 
 def test_env_var_thread_override(tmp_path, monkeypatch):

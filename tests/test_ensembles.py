@@ -9,8 +9,6 @@ from fastsketch.ensembles import (
     apply_rows_adjoint,
     densify,
     normalize_kind,
-    row_source_from_json_dict,
-    row_source_to_json_dict,
     sample_bounded_orthogonal,
     sample_dense_gaussian,
     sample_partial_circulant,
@@ -101,6 +99,20 @@ def test_eps_entries_validated():
         RowSource(kind="circulant", d=4, M=2, eps=np.array([1.0, 2.0, 1.0, -1.0]))
 
 
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("fourier", "indices"),
+        ("hadamard", "indices"),
+        ("circulant", "eps"),
+        ("gaussian", "gaussian payload"),
+    ],
+)
+def test_missing_payload_rejected(kind, message):
+    with pytest.raises(ValueError, match=message):
+        RowSource(kind=kind, d=8, M=4)
+
+
 # ---------------------------------------------------------------------------
 # apply / adjoint / densify agreement
 
@@ -120,6 +132,23 @@ def test_apply_matches_densified():
         for _ in range(20):
             x = random_complex(rng, 8)
             np.testing.assert_allclose(apply_rows(src, x), dense @ x, atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [8, 2**16])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_real_input_matches_complex_path(kind, d):
+    # Real input runs rfft, the float64 fwht or a real matmul; the sampled
+    # rows include 0, d/2 and d - 1, where the rfft fold changes behaviour.
+    src = sample_any(kind, d, 8, 61)
+    if src.indices is not None:
+        indices = src.indices.copy()
+        indices[:3] = [0, d // 2, d - 1]
+        src = RowSource(kind=kind, d=d, M=8, indices=indices)
+    x = np.random.default_rng(d).standard_normal((2, d))
+    expected = apply_rows(src, x + 0j)
+    out = apply_rows(src, x)
+    assert out.dtype == np.complex128
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_repeated_all_ones_fourier_row():
@@ -224,35 +253,6 @@ def test_single_row_isometry_in_expectation(kind):
         vals[i] = np.abs(apply_rows(src, x)[0]) ** 2
     se = vals.std(ddof=1) / np.sqrt(n_draws)
     assert abs(vals.mean() - 1.0) <= max(5 * se, 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_json_roundtrip(kind):
-    src = sample_any(kind, 8, 4, 83)
-    doc = row_source_to_json_dict(src)
-    back = row_source_from_json_dict(doc)
-    assert back.kind == src.kind and back.d == src.d and back.M == src.M
-    np.testing.assert_array_equal(densify(back), densify(src))
-
-
-@pytest.mark.parametrize(
-    "kind, payload, message",
-    [
-        ("fourier", "indices", "indices"),
-        ("hadamard", "indices", "indices"),
-        ("circulant", "eps", "eps"),
-        ("gaussian", "matrix", "gaussian payload"),
-    ],
-)
-def test_json_without_payload_rejected(kind, payload, message):
-    doc = row_source_to_json_dict(sample_any(kind, 8, 4, 83))
-    del doc[payload]
-    with pytest.raises(ValueError, match=message):
-        row_source_from_json_dict(doc)
 
 
 def test_normalize_kind_aliases():

@@ -6,6 +6,7 @@ import pytest
 from fastsketch.ensembles import RowSource
 from fastsketch.recovery import (
     SparseSignal,
+    _top_k_indices,
     cosamp,
     hard_threshold,
     iht,
@@ -55,6 +56,31 @@ class TestHardThreshold:
     def test_complex_modulus_ordering(self):
         s = hard_threshold(np.array([1.0 + 1.0j, 1.2, 0.1j]), 1)
         np.testing.assert_array_equal(s.support, [0])
+
+
+def lexsort_top_k(x, k):
+    """Reference: a full sort by (decreasing modulus, increasing index)."""
+    return np.lexsort((np.arange(x.shape[0]), -np.abs(x)))[:k]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng, d: rng.integers(-3, 4, d).astype(float),
+        lambda rng, d: rng.choice([3 + 4j, -5.0, 5j, 4 - 3j, 1j, 0.0], d),
+        lambda rng, d: np.zeros(d),
+        lambda rng, d: rng.standard_normal(d) + 1j * rng.standard_normal(d),
+        lambda rng, d: np.where(rng.random(d) < 0.3, np.nan, rng.integers(-2, 3, d)),
+    ],
+    ids=["integers", "equal_modulus_complex", "zeros", "gaussian", "with_nan"],
+)
+def test_top_k_matches_lexsort_reference(make):
+    rng = np.random.default_rng(71)
+    for d in (1, 2, 7, 64, 1000):
+        for _ in range(5):
+            x = make(rng, d)
+            for k in sorted({0, 1, d // 2, d - 1, d}):
+                np.testing.assert_array_equal(_top_k_indices(x, k), lexsort_top_k(x, k))
 
 
 class TestSparseSignal:

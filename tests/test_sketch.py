@@ -122,6 +122,15 @@ def test_apply_matches_dense(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+def test_apply_real_input_is_complex_and_matches_dense(kind):
+    op = build_sketch(64, 4, 8, kind, seed=31)
+    x = np.random.default_rng(7).standard_normal((3, 64))
+    out = apply(op, x)
+    assert out.dtype == np.complex128
+    np.testing.assert_allclose(out, x @ densify_sketch(op).T, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_adjoint_matches_dense(kind):
     rng = np.random.default_rng(7)
     op = build_sketch(64, 4, 8, kind, seed=37)

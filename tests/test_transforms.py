@@ -80,6 +80,17 @@ class TestDft:
             slow = naive_dft(x)
             np.testing.assert_allclose(fast, slow, atol=1e-12 * max(1.0, np.abs(slow).max()))
 
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_real_input_matches_naive_oracle(self, direction):
+        # real input runs the real FFT and mirrors the conjugate-symmetric half
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 4, 8, 64, 256):
+            for x in (rng.standard_normal(n), rng.integers(-5, 6, n)):
+                slow = naive_dft(x) if direction == "forward" else np.conj(naive_dft(x)) / n
+                fast = dft(x, direction)
+                assert fast.dtype == np.complex128
+                np.testing.assert_allclose(fast, slow, atol=1e-12 * max(1.0, np.abs(slow).max()))
+
     def test_roundtrip_all_power_of_two_sizes(self):
         rng = np.random.default_rng(7)
         for log_n in range(17):
@@ -162,6 +173,43 @@ class TestFwht:
             x = random_complex(rng, n)
             np.testing.assert_allclose(fwht(x), h @ x, atol=1e-12 * np.abs(x).sum())
 
+    @pytest.mark.parametrize("log_n", range(1, 14))
+    def test_matches_sylvester_closed_form(self, log_n):
+        # log_n runs through every remainder mod 4, so every order of the
+        # last Kronecker block; H[i, j] = (-1)^popcount(i & j), in row chunks.
+        n = 2**log_n
+        rng = np.random.default_rng(log_n)
+        x = np.vstack([rng.standard_normal((2, n)), random_complex(rng, n)])
+        out = np.vstack([fwht(x[:2].real), fwht(x[2:])])
+        atol = 1e-12 * np.abs(x).sum(axis=-1).max()
+        for lo in range(0, n, 1024):
+            rows = np.arange(lo, min(n, lo + 1024))
+            parity = np.bitwise_count(np.bitwise_and.outer(rows, np.arange(n))) & 1
+            np.testing.assert_allclose(out[:, rows], x @ (1.0 - 2.0 * parity).T, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize(
+        "dtype, expected",
+        [
+            (np.int64, np.float64),
+            (np.float32, np.float64),
+            (np.float64, np.float64),
+            (np.complex64, np.complex128),
+            (np.complex128, np.complex128),
+        ],
+    )
+    def test_dtype_contract(self, dtype, expected):
+        assert fwht(np.ones((3, 32), dtype=dtype)).dtype == expected
+
+    @pytest.mark.parametrize("n", [1, 16, 128])
+    @pytest.mark.parametrize("make", [np.real, lambda z: z], ids=["real", "complex"])
+    def test_leaves_input_unmodified(self, n, make):
+        # H_1 is the identity, yet the result must still be a new array
+        x = np.ascontiguousarray(make(random_complex(np.random.default_rng(n), n)))
+        before = x.copy()
+        out = fwht(x)
+        assert not np.shares_memory(out, x)
+        np.testing.assert_array_equal(x, before)
+
     def test_involution(self):
         rng = np.random.default_rng(13)
         for n in (2, 64, 2048):
@@ -200,6 +248,15 @@ class TestCircularConvolve:
             x = random_complex(rng, n)
             fast = circular_convolve(z, x)
             slow = naive_convolve(z, x)
+            np.testing.assert_allclose(fast, slow, atol=1e-12 * max(1.0, np.abs(slow).max()))
+
+    def test_real_operands_stay_real(self):
+        rng = np.random.default_rng(39)
+        for n in (1, 2, 8, 64, 256):
+            z, x = rng.choice([-1.0, 1.0], size=n), rng.standard_normal((2, n))
+            fast = circular_convolve(z, x)
+            assert fast.dtype == np.float64
+            slow = np.array([naive_convolve(z, row) for row in x])
             np.testing.assert_allclose(fast, slow, atol=1e-12 * max(1.0, np.abs(slow).max()))
 
     def test_convolution_theorem(self):
