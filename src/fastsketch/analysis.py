@@ -86,7 +86,7 @@ def _gram_extremes(submatrices: np.ndarray) -> tuple[float, float]:
     ``submatrices`` has shape (batch, m, k); eigenvalues of S* S are the
     squared singular values of S.
     """
-    gram = np.einsum("nmk,nml->nkl", np.conj(submatrices), submatrices)
+    gram = np.conj(submatrices).swapaxes(-1, -2) @ submatrices
     eig = np.linalg.eigvalsh(gram)
     return float(eig[:, 0].min()), float(eig[:, -1].max())
 

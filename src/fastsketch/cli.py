@@ -490,7 +490,8 @@ def _run_recover(config: dict) -> dict:
             "trial": t,
             "relative_error": rel,
             "l2_error": err,
-            "head_tail_ratio": ratio,
+            # An at most k-sparse signal has no best-k tail to scale by.
+            "head_tail_ratio": ratio if np.count_nonzero(x) > k else None,
             "iterations_used": result.iterations_used,
             "residual_norm": result.residual_norm,
             "converged": result.converged,

@@ -153,18 +153,28 @@ def _check_last_axis(x: np.ndarray, length: int, what: str) -> np.ndarray:
     return x
 
 
-def _eps_spectrum(src: RowSource) -> np.ndarray:
-    """DFT of the circulant sign vector, cached on the (immutable) source.
+def _cached(src: RowSource, name: str, make) -> np.ndarray:
+    """``make(src)``, computed once and cached on the (immutable) source.
 
-    The spectrum is a pure function of eps, so the benign first-use race
-    under concurrent readers recomputes identical values.
+    The value is a pure function of the source, so the benign first-use
+    race under concurrent readers recomputes identical values.
     """
-    cached = getattr(src, "_spectrum", None)
+    cached = getattr(src, name, None)
     if cached is None:
-        cached = dft(src.eps)
+        cached = make(src)
         cached.setflags(write=False)
-        object.__setattr__(src, "_spectrum", cached)
+        object.__setattr__(src, name, cached)
     return cached
+
+
+def _eps_spectrum(src: RowSource) -> np.ndarray:
+    """DFT of the circulant sign vector."""
+    return _cached(src, "_spectrum", lambda s: dft(s.eps))
+
+
+def _roots_of_unity(src: RowSource) -> np.ndarray:
+    """exp(-2 pi i p / d) for p in [0, d): the entries of a Fourier source."""
+    return _cached(src, "_roots", lambda s: np.exp((-2j * np.pi / s.d) * np.arange(s.d)))
 
 
 def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
@@ -212,12 +222,8 @@ def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
     return np.asarray(y, dtype=np.complex128) @ src.matrix
 
 
-def source_columns(src: RowSource, cols: np.ndarray) -> np.ndarray:
-    """A[:, cols] from the closed form of each entry, shape (M,) + cols.shape.
-
-    No transform runs.  ``cols`` must be an integer array of at least one
-    dimension with entries in [0, d).
-    """
+def _column_indices(src: RowSource, cols) -> np.ndarray:
+    """Validate column indices of ``src`` and return them as intp."""
     cols = np.asarray(cols)
     if cols.ndim == 0 or not np.issubdtype(cols.dtype, np.integer):
         raise ValueError(
@@ -226,20 +232,50 @@ def source_columns(src: RowSource, cols: np.ndarray) -> np.ndarray:
         )
     if cols.size and (cols.min() < 0 or cols.max() >= src.d):
         raise ValueError(f"column indices out of range [0, {src.d})")
-    if src.kind == "partial_fourier":
-        # Reducing the phase in integers keeps every entry accurate to
-        # rounding at any d; exp of the unreduced product would not.  The
-        # reduction runs in place, so no second index block is allocated.
-        roots = np.exp((-2j * np.pi / src.d) * np.arange(src.d))
-        phase = np.multiply.outer(src.indices, cols)
-        phase %= src.d
-        return roots[phase]
-    if src.kind == "partial_hadamard":
-        parity = np.bitwise_count(np.bitwise_and.outer(src.indices, cols)) & 1
-        return np.where(parity == 0, 1.0, -1.0).astype(np.complex128)
-    if src.kind == "partial_circulant":
-        return src.eps[np.subtract.outer(np.arange(src.M), cols) % src.d].astype(np.complex128)
-    return src.matrix[:, cols].astype(np.complex128)
+    return cols.astype(np.intp, copy=False)
+
+
+def _source_blocks(src: RowSource, cols: np.ndarray, rows: int):
+    """Yield A[r0 : r0 + rows, cols] for r0 = 0, rows, 2 rows, ... < M.
+
+    Each block has shape (rows,) + cols.shape (the last may be shorter)
+    and comes from the closed form of each entry, with no transform:
+    float64 (+-1, or the Gaussian entries) for Hadamard, circulant and
+    Gaussian sources, complex128 roots of unity for Fourier sources.
+    ``cols`` must already be validated intp column indices.
+    """
+    mask = src.d - 1  # d is a power of two, so "& mask" is "mod d"
+    for r0 in range(0, src.M, rows):
+        r1 = min(src.M, r0 + rows)
+        if src.kind == "partial_fourier":
+            # Reducing the phase in integers keeps every entry accurate to
+            # rounding at any d; exp of the unreduced product would not.
+            phase = np.multiply.outer(src.indices[r0:r1], cols)
+            phase &= mask
+            yield _roots_of_unity(src)[phase]
+        elif src.kind == "partial_hadamard":
+            parity = np.bitwise_count(np.bitwise_and.outer(src.indices[r0:r1], cols))
+            parity &= 1
+            yield 1.0 - 2.0 * parity
+        elif src.kind == "partial_circulant":
+            shift = np.subtract.outer(np.arange(r0, r1), cols)
+            shift &= mask
+            yield src.eps[shift]
+        else:
+            yield src.matrix[r0:r1, cols]
+
+
+def source_columns(src: RowSource, cols: np.ndarray) -> np.ndarray:
+    """A[:, cols] from the closed form of each entry, shape (M,) + cols.shape.
+
+    One complex128 block of all M rows; no transform runs.  ``cols``
+    must be an integer array of at least one dimension with entries in
+    [0, d).  ``sketch.columns`` reads the same closed forms a few
+    buckets of rows at a time instead.
+    """
+    cols = _column_indices(src, cols)
+    block = next(_source_blocks(src, cols, src.M))
+    return block.astype(np.complex128, copy=False)
 
 
 def densify(src: RowSource, *, cap: int = DENSIFY_CAP) -> np.ndarray:

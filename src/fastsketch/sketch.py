@@ -19,6 +19,8 @@ import numpy as np
 
 from fastsketch.ensembles import (
     DENSIFY_CAP,
+    _column_indices,
+    _source_blocks,
     RowSource,
     apply_rows,
     apply_rows_adjoint,
@@ -26,7 +28,6 @@ from fastsketch.ensembles import (
     sample_bounded_orthogonal,
     sample_dense_gaussian,
     sample_partial_circulant,
-    source_columns,
 )
 from fastsketch.rng import derive_seed, stream
 from fastsketch.transforms import next_power_of_two
@@ -43,6 +44,10 @@ __all__ = [
     "sketch_from_json_dict",
     "dump_arrays",
 ]
+
+#: Float64 entries per source block in ``columns``: enough to amortize the
+#: per-block overhead, small enough to stay in cache.
+_BLOCK_ENTRIES = 2**15
 
 
 def bucket_index(b: int, i: int, B: int, m: int | None = None) -> int:
@@ -149,12 +154,28 @@ def apply_adjoint(op: SketchOperator, z: np.ndarray) -> np.ndarray:
 def columns(op: SketchOperator, support: np.ndarray) -> np.ndarray:
     """(1/sqrt(mB)) * Phi[:, support], shape (..., m, k) for a support (..., k).
 
-    Signed bucket sums of ``source_columns``: O(mB) per column, no transform.
+    Signed bucket sums of the source's closed-form columns, O(mB) per
+    column with no transform.  The source block is built a few buckets
+    at a time (about ``_BLOCK_ENTRIES`` float64 entries) and summed into
+    the output at once, as a batched (1 x B) @ (B x k) matmul per bucket,
+    so no (m*B, k) block is ever held.  Fourier blocks enter the matmul
+    as their float64 view (real and imaginary parts side by side); the
+    other sources are real.
     """
-    support = np.asarray(support)
-    cols = source_columns(op.source, support).reshape((op.m, op.B) + support.shape)
-    sums = np.einsum("bi,bi...->b...", op.signs, cols)
-    return op.scale * np.moveaxis(sums, 0, -2)
+    support = _column_indices(op.source, support)
+    out = np.zeros((op.m,) + support.shape, dtype=np.complex128)
+    flat = out.reshape(op.m, support.size)
+    fourier = op.source.kind == "partial_fourier"
+    sums = flat.view(np.float64) if fourier else flat.real
+    buckets = max(1, _BLOCK_ENTRIES // max(1, op.B * sums.shape[1]))
+    blocks = _source_blocks(op.source, support, buckets * op.B)
+    for b0, block in zip(range(0, op.m, buckets), blocks):
+        if fourier:
+            block = block.view(np.float64)
+        b1 = b0 + block.shape[0] // op.B
+        sums[b0:b1] = (op.signs[b0:b1, None, :] @ block.reshape(b1 - b0, op.B, -1))[:, 0]
+    out *= op.scale
+    return np.moveaxis(out, 0, -2)
 
 
 def densify_sketch(op: SketchOperator, *, cap: int = DENSIFY_CAP) -> np.ndarray:
@@ -163,12 +184,7 @@ def densify_sketch(op: SketchOperator, *, cap: int = DENSIFY_CAP) -> np.ndarray:
         raise ValueError(
             f"densify_sketch would materialize {op.m}x{op.d} entries, exceeding cap {cap}"
         )
-    out = np.empty((op.m, op.d), dtype=np.complex128)
-    # Column chunks keep the (m*B) x chunk source intermediate within the cap.
-    chunk = max(1, cap // op.source.M)
-    for c0 in range(0, op.d, chunk):
-        out[:, c0 : c0 + chunk] = columns(op, np.arange(c0, min(op.d, c0 + chunk)))
-    return out
+    return columns(op, np.arange(op.d))
 
 
 def sketch_to_json_dict(op: SketchOperator) -> dict:

@@ -165,6 +165,27 @@ def test_recover_command(tmp_path):
     assert len(rep["results"]["trials"]) == 4
 
 
+def test_recover_reports_null_head_tail_ratio_for_k_sparse_signals(tmp_path):
+    out = tmp_path / "rec.json"
+    assert main(["recover", "--d", "1024", "--k", "10", "--m", "200", "--B", "16",
+                 "--kind", "hadamard", "--solver", "iht", "--trials", "4", "--seed", "1",
+                 "--out", str(out)]) == EXIT_OK
+    trials = read_json(out)["results"]["trials"]
+    assert [t["success"] for t in trials] == [True] * 4
+    assert [t["head_tail_ratio"] for t in trials] == [None] * 4
+
+
+def test_recover_reports_head_tail_ratio_for_dense_signals(tmp_path):
+    signal = tmp_path / "x.csv"
+    write_point_set(signal, np.random.default_rng(3).standard_normal((1, 64)))
+    out = tmp_path / "rec.json"
+    assert main(["recover", "--d", "64", "--k", "3", "--m", "32", "--B", "2",
+                 "--kind", "fourier", "--trials", "1", "--seed", "13",
+                 "--input", str(signal), "--out", str(out)]) == EXIT_OK
+    (trial,) = read_json(out)["results"]["trials"]
+    assert isinstance(trial["head_tail_ratio"], float) and trial["head_tail_ratio"] > 0
+
+
 def test_recover_with_noise_runs_and_records(tmp_path):
     out = tmp_path / "noisy.json"
     assert main(["recover", "--d", "128", "--k", "3", "--m", "64", "--B", "4",

@@ -1,9 +1,12 @@
 """The hashed sign-combination operator against dense oracles and identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fastsketch.ensembles import RowSource, densify
+from fastsketch import sketch
+from fastsketch.ensembles import RowSource, densify, source_columns
 from fastsketch.sketch import (
     SketchOperator,
     apply,
@@ -216,13 +219,55 @@ def test_dense_columns_match_basis_applications(kind):
         e = np.zeros(32)
         e[j] = 1.0
         np.testing.assert_allclose(apply(op, e), dense[:, j], atol=1e-11)
-    # A cap of m*d forces several column chunks of the m*B source rows.
+    # A cap of exactly m*d is within bounds and gives the same matrix.
     np.testing.assert_array_equal(densify_sketch(op, cap=op.m * op.d), dense)
     support = np.array([[0, 7, 31], [2, 3, 16]])  # (n, k) -> (n, m, k)
     basis = np.eye(32)[support]
     np.testing.assert_allclose(
         columns(op, support), np.swapaxes(apply(op, basis), -1, -2), atol=1e-11
     )
+
+
+def full_block_columns(op, support):
+    """Reference columns: the whole (m*B, k) source block, then bucket sums."""
+    cols = source_columns(op.source, support).reshape((op.m, op.B) + support.shape)
+    return op.scale * np.moveaxis(np.einsum("bi,bi...->b...", op.signs, cols), 0, -2)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("shape", [(128,), (16, 8)], ids=["support", "batched"])
+def test_columns_match_full_block_reference(kind, shape):
+    op = build_sketch(1024, 37, 8, kind, seed=97)
+    rng = np.random.default_rng(101)
+    n = shape[0] if len(shape) == 2 else 1
+    support = np.sort([rng.choice(op.d, shape[-1], replace=False) for _ in range(n)]).reshape(shape)
+    # Several blocks of whole buckets, the last one partial.
+    entries_per_bucket = op.B * support.size * (2 if kind == "fourier" else 1)
+    buckets = sketch._BLOCK_ENTRIES // entries_per_bucket
+    assert 1 <= buckets < op.m and op.m % buckets != 0
+    got = columns(op, support)
+    want = full_block_columns(op, support)
+    assert got.dtype == np.complex128 and got.shape == shape[:-1] + (op.m, shape[-1])
+    if kind in ("hadamard", "circulant"):
+        # Sums of +-1 entries are exact integers in any order.
+        np.testing.assert_array_equal(got, want)
+    else:
+        # Sums of rounded entries may round differently in another order.
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ("fourier", "hadamard", "circulant"))
+def test_columns_peak_memory_is_a_few_outputs(kind):
+    op = build_sketch(2**14, 400, 16, kind, seed=103)
+    support = np.sort(np.random.default_rng(107).choice(op.d, 60, replace=False))
+    tracemalloc.start()
+    try:
+        out = columns(op, support)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A full (m*B, k) complex source block alone would be 16 outputs.
+    assert peak <= 4 * out.nbytes
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
