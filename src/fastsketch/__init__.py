@@ -9,11 +9,9 @@ random sign diagonal, and runs matrix-free sparse-recovery solvers.
 """
 
 from fastsketch.analysis import (
-    BucketNormProfile,
     OperatorNorms,
     ParameterPlan,
     RipReport,
-    bucket_norm_profile,
     complexify_matrix,
     complexify_vector,
     exact_rip_constant,
@@ -52,7 +50,6 @@ from fastsketch.sketch import (
     SketchOperator,
     apply,
     apply_adjoint,
-    bucket_index,
     build_sketch,
     columns,
     densify_sketch,

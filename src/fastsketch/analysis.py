@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fastsketch.ensembles import densify, normalize_kind
+from fastsketch.ensembles import normalize_kind
 from fastsketch.rng import as_generator
 # ``apply`` is unused here but stays importable as ``analysis.apply``:
 # the tracer self-test in perfbench/ checks that alias.
@@ -28,8 +28,6 @@ __all__ = [
     "RipReport",
     "exact_rip_constant",
     "mc_rip_lower_bound",
-    "BucketNormProfile",
-    "bucket_norm_profile",
     "OperatorNorms",
     "operator_norms",
     "complexify_vector",
@@ -121,17 +119,45 @@ def exact_rip_constant(mat: np.ndarray, k: int, *, cap: int = SUPPORT_CAP) -> Ri
     )
 
 
+def _draw_supports(gen: np.random.Generator, d: int, k: int, n: int) -> np.ndarray:
+    """n independent uniform k-subsets of range(d), as sorted rows of an (n, k) array.
+
+    Floyd's algorithm, run on all n rows at once: for j = d-k, ..., d-1
+    draw t uniform in [0, j] for every row, and add j to the rows that
+    already hold their t, t to the others.  Each step adds one new
+    element, so there is no rejection and k = d works.
+    """
+    out = np.empty((n, k), dtype=np.intp)
+    for col, j in enumerate(range(d - k, d)):
+        t = gen.integers(0, j + 1, size=n)
+        out[:, col] = np.where((out[:, :col] == t[:, None]).any(axis=1), j, t)
+    out.sort(axis=1)
+    return out
+
+
 def mc_rip_lower_bound(
     op: SketchOperator, k: int, trials: int, rng: int | np.random.Generator
 ) -> RipReport:
     """Certified lower bound on the isometry constant from sampled supports.
 
     Each trial draws a uniform k-subset; the m x k submatrices on the
-    drawn supports come from ``columns`` in batches, and the extreme
-    squared singular values of each are measured exactly.  The maximum
-    deviation seen is a lower bound on the exhaustive constant.
+    drawn supports come from ``columns`` in batches of ``_CHUNK // m``
+    trials, and the extreme squared singular values of each are
+    measured exactly.  The maximum deviation seen is a lower bound on
+    the exhaustive constant.
+
+    A batch of n supports is drawn at once by a vectorized Floyd's
+    algorithm (k calls ``gen.integers(0, j + 1, size=n)`` and an
+    O(n k^2) membership test), so the supports are a fixed function of
+    the seed and of the batch size ``_CHUNK // m``.  That draw is slower
+    than one ``gen.choice`` per trial only when k nears both d and the
+    number of trials in a batch (d = k = 64, 50 trials: 0.96 against
+    0.50 ms for the draws alone).
     """
     start = time.perf_counter()
+    for name, value in (("sparsity k", k), ("trials", trials)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if not 1 <= k <= op.d:
@@ -141,12 +167,8 @@ def mc_rip_lower_bound(
     epsilon = 0.0
     batch = max(1, _CHUNK // op.m)
     for b0 in range(0, trials, batch):
-        # One draw per trial, in trial order, so a seed keeps its supports.
-        supports = [
-            np.sort(gen.choice(op.d, size=k, replace=False))
-            for _ in range(b0, min(trials, b0 + batch))
-        ]
-        lo, hi = _gram_extremes(columns(op, np.array(supports)))
+        supports = _draw_supports(gen, op.d, k, min(batch, trials - b0))
+        lo, hi = _gram_extremes(columns(op, supports))
         epsilon = max(epsilon, hi - 1.0, 1.0 - lo)
     return RipReport(
         k=k,
@@ -156,42 +178,6 @@ def mc_rip_lower_bound(
         seed=seed,
         wall_time=time.perf_counter() - start,
     )
-
-
-@dataclass(frozen=True)
-class BucketNormProfile:
-    """Largest operator norm of any per-bucket block over s-sparse unit vectors."""
-
-    s: int
-    per_bucket: np.ndarray
-    overall: float
-
-
-def bucket_norm_profile(
-    op: SketchOperator, s: int, *, cap: int = SUPPORT_CAP
-) -> BucketNormProfile:
-    """max over buckets b of sup over s-sparse unit x of ||A_b x||.
-
-    ``A_b`` is the b-th B x d block of the unnormalized source; the sup
-    equals the largest top singular value over all s-column submatrices.
-    ``s = 0`` returns zeros by convention.
-    """
-    if s < 0 or s > op.d:
-        raise ValueError(f"sparsity s must lie in [0, {op.d}], got {s}")
-    if s == 0:
-        return BucketNormProfile(s=0, per_bucket=np.zeros(op.m), overall=0.0)
-    total = math.comb(op.d, s)
-    if total > cap:
-        raise ValueError(f"C({op.d}, {s}) = {total} supports exceed the cap of {cap}")
-    blocks = densify(op.source).reshape(op.m, op.B, op.d)
-    best = np.zeros(op.m)
-    for supports in _support_chunks(op.d, s):
-        sub = np.moveaxis(blocks[:, :, supports], 2, 1)  # (m, n, B, s)
-        gram = np.einsum("mnbs,mnbt->mnst", np.conj(sub), sub)
-        top = np.linalg.eigvalsh(gram)[..., -1]  # (m, n)
-        np.maximum(best, top.max(axis=1), out=best)
-    per_bucket = np.sqrt(best)
-    return BucketNormProfile(s=s, per_bucket=per_bucket, overall=float(per_bucket.max()))
 
 
 class OperatorNorms(NamedTuple):

@@ -495,6 +495,7 @@ def _run_recover(config: dict) -> dict:
             "iterations_used": result.iterations_used,
             "residual_norm": result.residual_norm,
             "converged": result.converged,
+            "stop_reason": result.stop_reason,
             "success": bool(rel <= config["success_tol"]),
             "estimate": result.estimate.to_json_dict(),
         }
@@ -513,6 +514,7 @@ def _run_recover(config: dict) -> dict:
             "iterations_used",
             "residual_norm",
             "converged",
+            "stop_reason",
             "success",
         ]
         rows = [[t[h] for h in header] for t in trials]

@@ -59,12 +59,6 @@ class SparseSignal:
         out[self.support] = self.values
         return out
 
-    @classmethod
-    def from_dense(cls, x: np.ndarray) -> "SparseSignal":
-        x = np.asarray(x, dtype=np.complex128)
-        support = np.flatnonzero(x != 0)
-        return cls(d=x.shape[0], support=support, values=x[support])
-
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
@@ -80,13 +74,21 @@ class RecoveryResult:
 
     ``residual_norms`` holds ||y - Phi x_t|| for the iterate entering each
     iteration, so non-monotone steps can be inspected after the fact.
+    ``stop_reason`` says why the loop ended: ``"converged"`` (the relative
+    iterate change reached ``tol``), ``"max_iters"`` (the iteration budget
+    ran out) or ``"singular"`` (CoSaMP's least-squares system could not be
+    solved).
     """
 
     estimate: SparseSignal
     iterations_used: int
     residual_norm: float
-    converged: bool
+    stop_reason: str
     residual_norms: tuple[float, ...] = ()
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     def to_json_dict(self) -> dict:
         return {
@@ -94,6 +96,7 @@ class RecoveryResult:
             "iterations_used": self.iterations_used,
             "residual_norm": self.residual_norm,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "residual_norms": list(self.residual_norms),
         }
 
@@ -140,9 +143,10 @@ def _solve(op: SketchOperator, y: np.ndarray, k: int, max_iters: int, tol: float
 
     From x = 0, each iteration computes r = y - Phi x and g = Phi* r and
     takes x <- update(x, g).  It stops when the relative iterate change
-    drops to ``tol`` (converged), after ``max_iters`` iterations, or when
-    ``update`` returns None (not converged).  The estimate is the final
-    iterate thresholded to k terms.
+    drops to ``tol`` ("converged"), after ``max_iters`` iterations
+    ("max_iters"), or when ``update`` returns None because its linear
+    system is singular ("singular").  The estimate is the final iterate
+    thresholded to k terms.
     """
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (op.m,):
@@ -157,23 +161,24 @@ def _solve(op: SketchOperator, y: np.ndarray, k: int, max_iters: int, tol: float
         raise ValueError("tol must be nonnegative")
     x = np.zeros(op.d, dtype=np.complex128)
     residual_norms = []
-    converged = False
+    stop_reason = "max_iters"
     for _ in range(max_iters):
         r = y - apply(op, x)
         residual_norms.append(float(np.linalg.norm(r)))
         x_new = update(x, apply_adjoint(op, r))
         if x_new is None:
+            stop_reason = "singular"
             break
         change = _relative_change(x_new, x)
         x = x_new
         if change <= tol:
-            converged = True
+            stop_reason = "converged"
             break
     return RecoveryResult(
         estimate=hard_threshold(x, k),
         iterations_used=len(residual_norms),
         residual_norm=float(np.linalg.norm(y - apply(op, x))),
-        converged=converged,
+        stop_reason=stop_reason,
         residual_norms=tuple(residual_norms),
     )
 
@@ -224,8 +229,8 @@ def cosamp(
     Per iteration: take the top-2k support of the adjoint proxy, merge
     with the current support, least-squares on the merged columns taken
     from ``columns`` (normal equations with a 1e-12 diagonal ridge),
-    prune to the top k.  A singular least-squares system sets
-    ``converged=False`` and stops instead of raising.
+    prune to the top k.  A singular least-squares system stops the loop
+    with ``stop_reason="singular"`` instead of raising.
     """
     if 3 * k > op.d:
         raise ValueError(f"cosamp needs 3k <= d, got k={k}, d={op.d}")

@@ -34,7 +34,6 @@ from fastsketch.transforms import next_power_of_two
 
 __all__ = [
     "SketchOperator",
-    "bucket_index",
     "build_sketch",
     "apply",
     "apply_adjoint",
@@ -48,20 +47,6 @@ __all__ = [
 #: Float64 entries per source block in ``columns``: enough to amortize the
 #: per-block overhead, small enough to stay in cache.
 _BLOCK_ENTRIES = 2**15
-
-
-def bucket_index(b: int, i: int, B: int, m: int | None = None) -> int:
-    """1-based row index of slot ``i`` in bucket ``b``: B*(b-1) + i.
-
-    Injective over [m] x [B], covering [m*B].  ``m`` is optional and only
-    used to range-check ``b``.
-    """
-    if not 1 <= i <= B:
-        raise ValueError(f"slot i must lie in [1, {B}], got {i}")
-    if b < 1 or (m is not None and b > m):
-        upper = m if m is not None else "m"
-        raise ValueError(f"bucket b must lie in [1, {upper}], got {b}")
-    return B * (b - 1) + i
 
 
 @dataclass(frozen=True)

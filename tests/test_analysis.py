@@ -1,13 +1,15 @@
 """Isometry-constant measurement, norm utilities, and parameter planning."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from fastsketch.analysis import (
-    bucket_norm_profile,
+    _draw_supports,
     complexify_matrix,
     complexify_vector,
     exact_rip_constant,
@@ -102,14 +104,13 @@ class TestMonteCarloRip:
         got = mc_rip_lower_bound(op, k, trials=trials, rng=gen).epsilon
         ref_gen = np.random.default_rng(17)
         want = 0.0
-        for _ in range(trials):
-            support = np.sort(ref_gen.choice(d, size=k, replace=False))
+        for support in floyd_reference(ref_gen, d, k, trials, _CHUNK // m):
             basis = np.zeros((k, d))
             basis[np.arange(k), support] = 1.0
             sv = np.linalg.svd(apply(op, basis).T, compute_uv=False)
             want = max(want, sv[0] ** 2 - 1.0, 1.0 - sv[-1] ** 2)
         assert got == pytest.approx(want, abs=1e-12)
-        # The supports are drawn one per trial, in trial order.
+        # Each batch of supports takes k integer draws, one per Floyd step.
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     def test_reports_seed_and_trials(self):
@@ -117,6 +118,75 @@ class TestMonteCarloRip:
         rep = mc_rip_lower_bound(op, 2, trials=7, rng=11)
         assert rep.seed == 11 and rep.supports_evaluated == 7
         assert rep.method == "monte_carlo"
+
+    @pytest.mark.parametrize("k, trials", [(2.0, 5), (2, 2.5), ("2", 5), (2, None)])
+    def test_non_integer_arguments_rejected(self, k, trials):
+        op = build_sketch(16, 4, 2, "fourier", seed=109)
+        with pytest.raises(ValueError, match="integer"):
+            mc_rip_lower_bound(op, k, trials=trials, rng=11)
+
+    def test_numpy_integer_arguments_accepted(self):
+        op = build_sketch(16, 4, 2, "fourier", seed=109)
+        rep = mc_rip_lower_bound(op, np.int64(2), trials=np.int32(7), rng=11)
+        assert rep.epsilon == mc_rip_lower_bound(op, 2, trials=7, rng=11).epsilon
+
+    @pytest.mark.parametrize("k", [1, 16])
+    def test_extreme_sparsities(self, k):
+        op = build_sketch(16, 16, 2, "gaussian", seed=113)
+        exact = exact_rip_constant(densify_sketch(op), k).epsilon
+        rep = mc_rip_lower_bound(op, k, trials=100, rng=7)
+        assert rep.epsilon <= exact + 1e-12
+        if k == 16:  # the only 16-subset of range(16): the bound is exact
+            assert rep.epsilon == pytest.approx(exact, abs=1e-12)
+
+    def test_rerun_is_bit_identical(self):
+        op = build_sketch(256, 16, 4, "circulant", seed=117)
+        a = mc_rip_lower_bound(op, 4, trials=600, rng=23)
+        b = mc_rip_lower_bound(op, 4, trials=600, rng=23)
+        assert a.epsilon == b.epsilon
+
+
+def floyd_reference(gen, d, k, trials, batch):
+    """Per-trial Floyd's algorithm on the batched stream: one
+    ``gen.integers(0, j + 1, size=n)`` per step j for each batch of n trials,
+    then a set per trial."""
+    supports = []
+    for b0 in range(0, trials, batch):
+        n = min(batch, trials - b0)
+        draws = [(j, gen.integers(0, j + 1, size=n)) for j in range(d - k, d)]
+        for i in range(n):
+            chosen = set()
+            for j, t in draws:
+                chosen.add(j if int(t[i]) in chosen else int(t[i]))
+            supports.append(sorted(chosen))
+    return supports
+
+
+class TestDrawSupports:
+    @pytest.mark.parametrize("d, k", [(6, 3), (7, 1), (6, 5), (9, 4)])
+    def test_every_subset_equally_likely(self, d, k):
+        n = 200_000
+        rows = _draw_supports(np.random.default_rng(2024), d, k, n)
+        index = {s: i for i, s in enumerate(itertools.combinations(range(d), k))}
+        counts = np.bincount([index[tuple(r)] for r in rows.tolist()], minlength=len(index))
+        expected = n / len(index)
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < scipy.stats.chi2.ppf(0.999, len(index) - 1), chi2
+
+    @pytest.mark.parametrize("d, k, n", [(10, 1, 50), (10, 10, 50), (64, 64, 3), (1024, 8, 300)])
+    def test_rows_sorted_distinct_in_range(self, d, k, n):
+        rows = _draw_supports(np.random.default_rng(29), d, k, n)
+        assert rows.shape == (n, k) and rows.dtype == np.intp
+        assert rows.min() >= 0 and rows.max() < d
+        assert np.all(np.diff(rows, axis=1) > 0)
+        if k == d:
+            np.testing.assert_array_equal(rows, np.broadcast_to(np.arange(d), (n, d)))
+
+    def test_matches_per_trial_reference(self):
+        d, k, n = 40, 6, 500
+        rows = _draw_supports(np.random.default_rng(31), d, k, n)
+        want = floyd_reference(np.random.default_rng(31), d, k, n, n)
+        np.testing.assert_array_equal(rows, want)
 
 
 def test_epsilon_shrinks_as_rows_grow():
@@ -130,44 +200,6 @@ def test_epsilon_shrinks_as_rows_grow():
         medians.append(np.median(values))
     inversions = sum(1 for a, b in zip(medians, medians[1:]) if b > a)
     assert inversions <= 1, medians
-
-
-# ---------------------------------------------------------------------------
-# bucket norms
-
-
-class TestBucketNormProfile:
-    def test_zero_sparsity_convention(self):
-        op = build_sketch(16, 2, 2, "fourier", seed=113)
-        prof = bucket_norm_profile(op, 0)
-        assert prof.overall == 0.0
-        np.testing.assert_array_equal(prof.per_bucket, np.zeros(2))
-
-    def test_single_row_buckets_hit_sqrt_s(self):
-        # B = 1, modulus-1 rows: sup over s-sparse unit x of |<a, x>| = sqrt(s)
-        op = build_sketch(16, 4, 1, "fourier", seed=127)
-        for s in (1, 2, 3):
-            prof = bucket_norm_profile(op, s)
-            np.testing.assert_allclose(prof.per_bucket, np.sqrt(s), atol=1e-10)
-
-    def test_matches_brute_force_svd(self):
-        from itertools import combinations
-
-        op = build_sketch(16, 2, 2, "fourier", seed=131)
-        prof = bucket_norm_profile(op, 2)
-        from fastsketch.ensembles import densify
-
-        blocks = densify(op.source).reshape(2, 2, 16)
-        for b in range(2):
-            best = 0.0
-            for supp in combinations(range(16), 2):
-                best = max(best, scipy.linalg.svdvals(blocks[b][:, list(supp)])[0])
-            assert abs(prof.per_bucket[b] - best) <= 1e-8
-
-    def test_cap_enforced(self):
-        op = build_sketch(64, 2, 2, "fourier", seed=137)
-        with pytest.raises(ValueError, match="cap"):
-            bucket_norm_profile(op, 3, cap=100)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,20 @@ def test_recover_command(tmp_path):
     assert len(rep["results"]["trials"]) == 4
 
 
+@pytest.mark.parametrize("max_iters, reason", [("50", "converged"), ("1", "max_iters")])
+def test_recover_reports_stop_reason(tmp_path, max_iters, reason):
+    out, csv = tmp_path / "rec.json", tmp_path / "rec.csv"
+    assert main(["recover", "--d", "256", "--k", "4", "--m", "96", "--B", "8",
+                 "--kind", "fourier", "--solver", "cosamp", "--trials", "2",
+                 "--max-iters", max_iters, "--seed", "11",
+                 "--out", str(out), "--csv", str(csv)]) == EXIT_OK
+    trials = read_json(out)["results"]["trials"]
+    assert [t["stop_reason"] for t in trials] == [reason] * 2
+    lines = [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")]
+    column = lines[0].split(",").index("stop_reason")
+    assert [row.split(",")[column] for row in lines[1:]] == [reason] * 2
+
+
 def test_recover_reports_null_head_tail_ratio_for_k_sparse_signals(tmp_path):
     out = tmp_path / "rec.json"
     assert main(["recover", "--d", "1024", "--k", "10", "--m", "200", "--B", "16",

@@ -92,7 +92,7 @@ class TestSparseSignal:
 
     def test_dense_roundtrip(self):
         x = np.array([0.0, 2.0, 0.0, -1.0 + 1j])
-        s = SparseSignal.from_dense(x)
+        s = SparseSignal(d=4, support=np.array([1, 3]), values=x[[1, 3]])
         assert s.nnz == 2
         np.testing.assert_array_equal(s.to_dense(), x)
 
@@ -227,6 +227,37 @@ class TestCosamp:
 
 
 # ---------------------------------------------------------------------------
+# stop reasons, shared by both solvers
+
+
+@pytest.mark.parametrize("solver", [iht, cosamp])
+def test_stop_reason_converged_and_max_iters(solver):
+    op = build_sketch(256, 64, 8, "fourier", seed=31)
+    x = plant_signal(np.random.default_rng(13), 256, 4)
+    y = apply(op, x)
+    done = solver(op, y, 4, max_iters=300, tol=1e-12)
+    assert done.stop_reason == "converged" and done.converged
+    cut = solver(op, y, 4, max_iters=1, tol=1e-12)
+    assert cut.stop_reason == "max_iters" and not cut.converged
+    assert cut.iterations_used == 1
+
+
+def test_cosamp_singular_system_stops_with_reason(monkeypatch):
+    op = build_sketch(64, 32, 2, "fourier", seed=41)
+    y = apply(op, plant_signal(np.random.default_rng(17), 64, 3))
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    res = cosamp(op, y, 3)
+    assert res.stop_reason == "singular" and not res.converged
+    assert res.iterations_used == 1
+    assert res.estimate.nnz == 0  # the iterate never left x = 0
+    assert res.to_json_dict()["stop_reason"] == "singular"
+
+
+# ---------------------------------------------------------------------------
 # input validation, shared by both solvers
 
 
@@ -274,6 +305,7 @@ def test_recovery_result_serializes():
     res = iht(op, apply(op, x), 2, max_iters=100, tol=1e-12)
     doc = res.to_json_dict()
     assert doc["converged"] is True
+    assert doc["stop_reason"] == "converged"
     assert doc["estimate"]["d"] == 64
     assert len(doc["estimate"]["support"]) == len(doc["estimate"]["values_re"])
     assert len(doc["residual_norms"]) == doc["iterations_used"]
@@ -288,7 +320,7 @@ class TestL2L1Metrics:
 
     def test_exact_recovery_of_dense_signal(self):
         x = np.array([1.0, 0.5, 0.25, 0.125])
-        est = SparseSignal.from_dense(x)
+        est = SparseSignal(d=4, support=np.arange(4), values=x)
         err, ratio = l2l1_metrics(x, est, 2)
         assert err == 0.0 and ratio == 0.0
 
@@ -301,7 +333,8 @@ class TestL2L1Metrics:
 
     def test_compressible_signal_ratio_finite(self):
         x = (np.arange(1, 17) ** -2.0).astype(float)
-        est = SparseSignal.from_dense(np.where(x > 0.05, x, 0.0))
+        keep = np.flatnonzero(x > 0.05)
+        est = SparseSignal(d=16, support=keep, values=x[keep])
         err, ratio = l2l1_metrics(x, est, 2)
         tail = np.sort(x)[:-2].sum()
         assert ratio == pytest.approx(err / (tail / np.sqrt(2)))

@@ -11,7 +11,6 @@ from fastsketch.sketch import (
     SketchOperator,
     apply,
     apply_adjoint,
-    bucket_index,
     build_sketch,
     columns,
     densify_sketch,
@@ -24,31 +23,6 @@ ALL_KINDS = ("fourier", "hadamard", "circulant", "gaussian")
 
 def random_complex(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-# ---------------------------------------------------------------------------
-# bucket hashing
-
-
-class TestBucketIndex:
-    def test_first_slot(self):
-        assert bucket_index(1, 1, 4) == 1
-
-    def test_interior_slot(self):
-        assert bucket_index(2, 3, 4) == 7
-
-    def test_bijection_onto_row_range(self):
-        m, B = 3, 4
-        seen = {bucket_index(b, i, B, m) for b in range(1, m + 1) for i in range(1, B + 1)}
-        assert seen == set(range(1, m * B + 1))
-
-    def test_range_checks(self):
-        with pytest.raises(ValueError):
-            bucket_index(0, 1, 4)
-        with pytest.raises(ValueError):
-            bucket_index(1, 5, 4)
-        with pytest.raises(ValueError):
-            bucket_index(4, 1, 4, m=3)
 
 
 # ---------------------------------------------------------------------------
