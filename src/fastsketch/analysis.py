@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -59,14 +59,7 @@ class RipReport:
     wall_time: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "method": self.method,
-            "epsilon": self.epsilon,
-            "supports_evaluated": self.supports_evaluated,
-            "seed": self.seed,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 def _support_chunks(d: int, k: int, chunk: int = _CHUNK):
@@ -78,15 +71,15 @@ def _support_chunks(d: int, k: int, chunk: int = _CHUNK):
         yield np.asarray(block, dtype=np.intp)
 
 
-def _gram_extremes(submatrices: np.ndarray) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue over a batch of Gram matrices.
+def _gram_deviation(submatrices: np.ndarray) -> float:
+    """Largest |eigenvalue - 1| over a batch of Gram matrices.
 
     ``submatrices`` has shape (batch, m, k); eigenvalues of S* S are the
     squared singular values of S.
     """
     gram = np.conj(submatrices).swapaxes(-1, -2) @ submatrices
     eig = np.linalg.eigvalsh(gram)
-    return float(eig[:, 0].min()), float(eig[:, -1].max())
+    return max(float(eig[:, -1].max()) - 1.0, 1.0 - float(eig[:, 0].min()))
 
 
 def exact_rip_constant(mat: np.ndarray, k: int, *, cap: int = SUPPORT_CAP) -> RipReport:
@@ -96,6 +89,8 @@ def exact_rip_constant(mat: np.ndarray, k: int, *, cap: int = SUPPORT_CAP) -> Ri
     if mat.ndim != 2:
         raise ValueError("expected an explicit 2-D matrix")
     m, d = mat.shape
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"sparsity k must be an integer, got {k!r}")
     if not 1 <= k <= min(m, d):
         raise ValueError(f"sparsity k must lie in [1, min(m, d)] = [1, {min(m, d)}], got {k}")
     total = math.comb(d, k)
@@ -107,8 +102,7 @@ def exact_rip_constant(mat: np.ndarray, k: int, *, cap: int = SUPPORT_CAP) -> Ri
     epsilon = 0.0
     for supports in _support_chunks(d, k):
         sub = np.moveaxis(mat[:, supports], 0, 1)  # (n, m, k)
-        lo, hi = _gram_extremes(sub)
-        epsilon = max(epsilon, hi - 1.0, 1.0 - lo)
+        epsilon = max(epsilon, _gram_deviation(sub))
     return RipReport(
         k=k,
         method="exact",
@@ -168,8 +162,7 @@ def mc_rip_lower_bound(
     batch = max(1, _CHUNK // op.m)
     for b0 in range(0, trials, batch):
         supports = _draw_supports(gen, op.d, k, min(batch, trials - b0))
-        lo, hi = _gram_extremes(columns(op, supports))
-        epsilon = max(epsilon, hi - 1.0, 1.0 - lo)
+        epsilon = max(epsilon, _gram_deviation(columns(op, supports)))
     return RipReport(
         k=k,
         method="monte_carlo",
@@ -253,16 +246,7 @@ class ParameterPlan:
     warnings: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "d": self.d,
-            "k": self.k,
-            "epsilon": self.epsilon,
-            "m": self.m,
-            "B": self.B,
-            "d_effective": self.d_effective,
-            "warnings": list(self.warnings),
-        }
+        return asdict(self)
 
 
 def _rows_needed(k: int, ln_d: float, B: int, epsilon: float) -> int:

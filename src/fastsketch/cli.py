@@ -442,10 +442,7 @@ def _run_jl(config: dict) -> dict:
     }
     if config.get("csv"):
         header = ["trial", "epsilon_hat", "max_expansion", "min_contraction", "pairs_evaluated"]
-        rows = [
-            [t, r["epsilon_hat"], r["max_expansion"], r["min_contraction"], r["pairs_evaluated"]]
-            for t, r in enumerate(reports)
-        ]
+        rows = [[t] + [r[h] for h in header[1:]] for t, r in enumerate(reports)]
         _write_csv(config["csv"], header, rows, _csv_meta("jl", _public_config(config)))
     return results
 
@@ -756,9 +753,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(_dump_json(report))
         return EXIT_OK
-    except UsageError as exc:
-        _emit_error(exc)
-        return EXIT_USAGE
     except ValueError as exc:
         _emit_error(exc)
         return EXIT_USAGE

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fastsketch.rng import as_generator
-from fastsketch.transforms import circular_convolve, dft, fwht, is_power_of_two
+from fastsketch.transforms import circular_convolve, dft, fwht, is_power_of_two, next_power_of_two
 
 __all__ = [
     "KINDS",
@@ -35,7 +35,6 @@ __all__ = [
     "sample_dense_gaussian",
     "apply_rows",
     "apply_rows_adjoint",
-    "source_columns",
     "densify",
 ]
 
@@ -98,7 +97,8 @@ class RowSource:
         elif self.kind == "partial_circulant":
             if self.M > self.d:
                 raise ValueError(
-                    f"partial circulant needs M <= d, got M={self.M}, d={self.d}"
+                    f"partial circulant needs M <= d, got M={self.M}, d={self.d}; "
+                    f"zero-pad the signal to d = {next_power_of_two(self.M)} first"
                 )
             eps = np.asarray(self.eps, dtype=np.float64)
             if eps.shape != (self.d,):
@@ -205,10 +205,9 @@ def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
     y = _check_last_axis(y, src.M, "apply_rows_adjoint")
     if src.kind in ("partial_fourier", "partial_hadamard"):
         w = np.zeros(y.shape[:-1] + (src.d,), dtype=np.complex128)
-        flat_w = w.reshape(-1, src.d)
-        flat_y = np.asarray(y, dtype=np.complex128).reshape(-1, src.M)
-        rows = np.arange(flat_w.shape[0])[:, None]
-        np.add.at(flat_w, (rows, src.indices[None, :]), flat_y)
+        # One 1-D scatter per row: numpy's fast path for np.add.at.
+        for w_row, y_row in zip(w.reshape(-1, src.d), y.reshape(-1, src.M)):
+            np.add.at(w_row, src.indices, y_row)
         if src.kind == "partial_fourier":
             # F* w = d * inverse-DFT(w) for the unnormalized forward F.
             return dft(w, "inverse") * src.d
@@ -265,19 +264,6 @@ def _source_blocks(src: RowSource, cols: np.ndarray, rows: int):
             yield src.matrix[r0:r1, cols]
 
 
-def source_columns(src: RowSource, cols: np.ndarray) -> np.ndarray:
-    """A[:, cols] from the closed form of each entry, shape (M,) + cols.shape.
-
-    One complex128 block of all M rows; no transform runs.  ``cols``
-    must be an integer array of at least one dimension with entries in
-    [0, d).  ``sketch.columns`` reads the same closed forms a few
-    buckets of rows at a time instead.
-    """
-    cols = _column_indices(src, cols)
-    block = next(_source_blocks(src, cols, src.M))
-    return block.astype(np.complex128, copy=False)
-
-
 def densify(src: RowSource, *, cap: int = DENSIFY_CAP) -> np.ndarray:
     """Materialize A as an explicit M x d complex matrix (test oracle).
 
@@ -288,4 +274,5 @@ def densify(src: RowSource, *, cap: int = DENSIFY_CAP) -> np.ndarray:
             f"densify would materialize {src.M}x{src.d} = {src.M * src.d} entries, "
             f"exceeding the cap of {cap}"
         )
-    return source_columns(src, np.arange(src.d))
+    block = next(_source_blocks(src, np.arange(src.d), src.M))
+    return block.astype(np.complex128, copy=False)

@@ -8,7 +8,7 @@ same diagonal is shared by every point, so the embedding is linear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,13 +58,7 @@ class DistortionReport:
     zero_distance_pairs: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_expansion": self.max_expansion,
-            "min_contraction": self.min_contraction,
-            "epsilon_hat": self.epsilon_hat,
-            "pairs_evaluated": self.pairs_evaluated,
-            "zero_distance_pairs": self.zero_distance_pairs,
-        }
+        return asdict(self)
 
 
 def distortion_report(original: np.ndarray, embedded: np.ndarray) -> DistortionReport:

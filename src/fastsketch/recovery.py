@@ -153,6 +153,8 @@ def _solve(op: SketchOperator, y: np.ndarray, k: int, max_iters: int, tol: float
         raise ValueError(f"measurements must have shape ({op.m},), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("measurements must be finite")
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"sparsity k must be an integer, got {k!r}")
     if not 0 <= k <= op.d:
         raise ValueError(f"sparsity k must lie in [0, {op.d}], got {k}")
     if max_iters < 1:
@@ -237,15 +239,16 @@ def cosamp(
     y = np.asarray(y, dtype=np.complex128)
 
     def update(x: np.ndarray, proxy: np.ndarray) -> np.ndarray | None:
-        proxy_support = _top_k_indices(proxy, min(2 * k, op.d))
+        proxy_support = _top_k_indices(proxy, 2 * k)
         proxy_support = proxy_support[proxy[proxy_support] != 0]
         merged = np.union1d(proxy_support, np.flatnonzero(x != 0)).astype(np.intp)
         if merged.size == 0:
             return np.zeros_like(x)
         cols = columns(op, merged)
-        gram = np.conj(cols.T) @ cols + 1e-12 * np.eye(merged.size)
+        cols_h = np.conj(cols.T)
+        gram = cols_h @ cols + 1e-12 * np.eye(merged.size)
         try:
-            coef = np.linalg.solve(gram, np.conj(cols.T) @ y)
+            coef = np.linalg.solve(gram, cols_h @ y)
         except np.linalg.LinAlgError:
             return None
         dense = np.zeros(op.d, dtype=np.complex128)

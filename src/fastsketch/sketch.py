@@ -30,7 +30,6 @@ from fastsketch.ensembles import (
     sample_partial_circulant,
 )
 from fastsketch.rng import derive_seed, stream
-from fastsketch.transforms import next_power_of_two
 
 __all__ = [
     "SketchOperator",
@@ -104,11 +103,6 @@ def build_sketch(d: int, m: int, B: int, kind: str, seed: int) -> SketchOperator
     if kind in ("partial_fourier", "partial_hadamard"):
         source = sample_bounded_orthogonal(d, M, kind, rows_seed)
     elif kind == "partial_circulant":
-        if M > d:
-            raise ValueError(
-                f"circulant sketch needs m*B <= d but m*B = {M} > d = {d}; "
-                f"zero-pad the signal to d = {next_power_of_two(M)} first"
-            )
         source = sample_partial_circulant(d, M, rows_seed)
     else:
         source = sample_dense_gaussian(d, M, rows_seed)

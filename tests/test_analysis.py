@@ -63,6 +63,8 @@ class TestExactRip:
     def test_sparsity_range_checked(self):
         with pytest.raises(ValueError, match="sparsity"):
             exact_rip_constant(np.eye(4), 5)
+        with pytest.raises(ValueError, match="integer"):
+            exact_rip_constant(np.eye(6), 3.0)
 
 
 class TestMonteCarloRip:

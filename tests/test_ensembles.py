@@ -193,6 +193,15 @@ def test_adjoint_scatter_accumulates_duplicates():
     y = np.array([1.0, 2.0, 5.0], dtype=np.complex128)
     expected = np.conj(densify(src).T) @ y
     np.testing.assert_allclose(apply_rows_adjoint(src, y), expected, atol=1e-12)
+    # A batch scatters each row as the 1-D adjoint does, duplicates included.
+    indices = np.array([5, 1, 5, 5, 0, 1])
+    batch = random_complex(np.random.default_rng(61), 6 * indices.size).reshape(2, 3, -1)
+    for kind in ("fourier", "hadamard"):
+        src = RowSource(kind=kind, d=8, M=indices.size, indices=indices)
+        got = apply_rows_adjoint(src, batch)
+        assert got.shape == (2, 3, 8)
+        for pos in np.ndindex(2, 3):
+            np.testing.assert_array_equal(got[pos], apply_rows_adjoint(src, batch[pos]))
 
 
 def test_dense_two_point_fourier_rows():

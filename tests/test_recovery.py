@@ -268,10 +268,12 @@ def test_cosamp_singular_system_stops_with_reason(monkeypatch):
         ({"tol": -1.0}, "tol"),
         ({"max_iters": 0}, "max_iters"),
         ({"k": -1}, "sparsity"),
+        ({"k": 2.0}, "integer"),
+        ({"k": 2.5}, "integer"),
         ({"y": np.array([1.0, np.nan, 0.0, 0.0])}, "finite"),
         ({"y": np.array([np.inf, 0.0, 0.0, 0.0])}, "finite"),
     ],
-    ids=["negative-tol", "zero-max-iters", "negative-k", "nan", "inf"],
+    ids=["negative-tol", "zero-max-iters", "negative-k", "float-k", "fractional-k", "nan", "inf"],
 )
 def test_solvers_reject_bad_input(solver, bad, match):
     op = build_sketch(64, 4, 2, "fourier", seed=53)

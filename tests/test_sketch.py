@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fastsketch import sketch
-from fastsketch.ensembles import RowSource, densify, source_columns
+from fastsketch.ensembles import RowSource, densify
 from fastsketch.sketch import (
     SketchOperator,
     apply,
@@ -204,7 +204,7 @@ def test_dense_columns_match_basis_applications(kind):
 
 def full_block_columns(op, support):
     """Reference columns: the whole (m*B, k) source block, then bucket sums."""
-    cols = source_columns(op.source, support).reshape((op.m, op.B) + support.shape)
+    cols = densify(op.source)[:, support].reshape((op.m, op.B) + support.shape)
     return op.scale * np.moveaxis(np.einsum("bi,bi...->b...", op.signs, cols), 0, -2)
 
 
