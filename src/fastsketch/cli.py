@@ -493,6 +493,9 @@ def _run_recover(config: dict) -> dict:
             "residual_norm": result.residual_norm,
             "converged": result.converged,
             "stop_reason": result.stop_reason,
+            "apply_calls": result.apply_calls,
+            "adjoint_calls": result.adjoint_calls,
+            "columns_extracted": result.columns_extracted,
             "success": bool(rel <= config["success_tol"]),
             "estimate": result.estimate.to_json_dict(),
         }
@@ -512,6 +515,9 @@ def _run_recover(config: dict) -> dict:
             "residual_norm",
             "converged",
             "stop_reason",
+            "apply_calls",
+            "adjoint_calls",
+            "columns_extracted",
             "success",
         ]
         rows = [[t[h] for h in header] for t in trials]

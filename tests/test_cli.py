@@ -179,6 +179,26 @@ def test_recover_reports_stop_reason(tmp_path, max_iters, reason):
     assert [row.split(",")[column] for row in lines[1:]] == [reason] * 2
 
 
+@pytest.mark.parametrize("solver", ["iht", "cosamp"])
+def test_recover_reports_solver_work(tmp_path, solver):
+    out, csv = tmp_path / "rec.json", tmp_path / "rec.csv"
+    assert main(["recover", "--d", "256", "--k", "4", "--m", "96", "--B", "8",
+                 "--kind", "hadamard", "--solver", solver, "--trials", "2",
+                 "--max-iters", "300", "--seed", "11",
+                 "--out", str(out), "--csv", str(csv)]) == EXIT_OK
+    trials = read_json(out)["results"]["trials"]
+    work = ["apply_calls", "adjoint_calls", "columns_extracted"]
+    for t in trials:
+        applies = t["iterations_used"] if solver == "iht" else 0
+        assert t["apply_calls"] == applies
+        assert 1 <= t["adjoint_calls"] <= t["iterations_used"]
+        assert t["columns_extracted"] > 0
+    lines = [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")]
+    header = lines[0].split(",")
+    rows = [dict(zip(header, row.split(","))) for row in lines[1:]]
+    assert [[int(r[w]) for w in work] for r in rows] == [[t[w] for w in work] for t in trials]
+
+
 def test_recover_reports_null_head_tail_ratio_for_k_sparse_signals(tmp_path):
     out = tmp_path / "rec.json"
     assert main(["recover", "--d", "1024", "--k", "10", "--m", "200", "--B", "16",

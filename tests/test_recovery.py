@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fastsketch.recovery as recovery
 from fastsketch.ensembles import RowSource
 from fastsketch.recovery import (
     SparseSignal,
@@ -258,6 +259,82 @@ def test_cosamp_singular_system_stops_with_reason(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the Phi x the loop holds, and the work it counts
+
+
+KINDS = ["fourier", "hadamard", "circulant", "gaussian"]
+
+
+def measured_instance(kind, noise_sd, seed):
+    op = build_sketch(256, 64, 4, kind, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = plant_signal(rng, 256, 5)
+    return op, x, apply(op, x) + noise_sd * rng.standard_normal(64)
+
+
+@pytest.mark.parametrize("noise_sd", [0.0, 0.01], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("solver", [iht, cosamp])
+def test_residual_norm_is_that_of_the_estimate(solver, kind, noise_sd):
+    # residual_norm comes from the Phi x the loop holds, never from a
+    # final apply; it must be the residual of the reported estimate.
+    # A noiseless residual sits at round-off (~1e-12 ||y||), where two
+    # exact ways of forming Phi x differ in their leading digits, so the
+    # relative bound is joined by one at 1e-12 ||y||.
+    op, _, y = measured_instance(kind, noise_sd, seed=61)
+    res = solver(op, y, 5, max_iters=100)
+    direct = np.linalg.norm(y - apply(op, res.estimate.to_dense()))
+    np.testing.assert_allclose(res.residual_norm, direct, rtol=1e-9, atol=1e-12 * np.linalg.norm(y))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cosamp_never_calls_apply(kind, monkeypatch):
+    op, x, y = measured_instance(kind, 0.0, seed=67)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cosamp called apply")
+
+    monkeypatch.setattr(recovery, "apply", forbidden)
+    res = cosamp(op, y, 5)
+    assert res.apply_calls == 0
+    assert np.linalg.norm(res.estimate.to_dense() - x) <= 1e-9 * np.linalg.norm(x)
+
+
+def test_cosamp_noiseless_solve_ends_on_the_residual_rule(monkeypatch):
+    # Per working iteration CoSaMP makes one adjoint, reads the columns it
+    # does not hold, then solves; the halting iteration does none of these.
+    tol = 1e-10
+    op, x, y = measured_instance("fourier", 0.0, seed=71)
+    log = []
+    adjoint, cols, solve = recovery.apply_adjoint, recovery.columns, np.linalg.solve
+
+    def logged(name, fn, size=lambda args: 0):
+        def wrapper(*args, **kwargs):
+            log.append((name, size(args)))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(recovery, "apply_adjoint", logged("adjoint", adjoint))
+    monkeypatch.setattr(recovery, "columns", logged("columns", cols, lambda a: a[1].size))
+    monkeypatch.setattr(np.linalg, "solve", logged("solve", solve, lambda a: a[0].shape[0]))
+    res = cosamp(op, y, 5, tol=tol)
+
+    assert res.stop_reason == "converged"
+    assert res.residual_norms[-1] <= tol * np.linalg.norm(y)
+    assert all(r > tol * np.linalg.norm(y) for r in res.residual_norms[1:-1])
+    names = [name for name, _ in log]
+    working = res.iterations_used - 1
+    assert names.count("adjoint") == names.count("solve") == working == res.adjoint_calls
+    assert names[-1] == "solve"  # nothing after the last working iteration's solve
+    assert sum(size for name, size in log if name == "columns") == res.columns_extracted
+    # from the second working iteration on, the iterate's k columns are held
+    merged = sum(size for name, size in log if name == "solve")
+    assert res.columns_extracted <= merged - 5 * (working - 1)
+    assert np.linalg.norm(res.estimate.to_dense() - x) <= 1e-9 * np.linalg.norm(x)
+
+
+# ---------------------------------------------------------------------------
 # input validation, shared by both solvers
 
 
@@ -270,10 +347,22 @@ def test_cosamp_singular_system_stops_with_reason(monkeypatch):
         ({"k": -1}, "sparsity"),
         ({"k": 2.0}, "integer"),
         ({"k": 2.5}, "integer"),
+        ({"k": "2"}, "integer"),
+        ({"k": None}, "integer"),
         ({"y": np.array([1.0, np.nan, 0.0, 0.0])}, "finite"),
         ({"y": np.array([np.inf, 0.0, 0.0, 0.0])}, "finite"),
     ],
-    ids=["negative-tol", "zero-max-iters", "negative-k", "float-k", "fractional-k", "nan", "inf"],
+    ids=[
+        "negative-tol",
+        "zero-max-iters",
+        "negative-k",
+        "float-k",
+        "fractional-k",
+        "str-k",
+        "none-k",
+        "nan",
+        "inf",
+    ],
 )
 def test_solvers_reject_bad_input(solver, bad, match):
     op = build_sketch(64, 4, 2, "fourier", seed=53)
@@ -311,6 +400,8 @@ def test_recovery_result_serializes():
     assert doc["estimate"]["d"] == 64
     assert len(doc["estimate"]["support"]) == len(doc["estimate"]["values_re"])
     assert len(doc["residual_norms"]) == doc["iterations_used"]
+    assert doc["apply_calls"] == doc["adjoint_calls"] == doc["iterations_used"]
+    assert 0 < doc["columns_extracted"] <= 2 * doc["iterations_used"]
 
 
 class TestL2L1Metrics:
