@@ -177,13 +177,24 @@ def _roots_of_unity(src: RowSource) -> np.ndarray:
     return _cached(src, "_roots", lambda s: np.exp((-2j * np.pi / s.d) * np.arange(s.d)))
 
 
+def _real_matmul(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """x @ mat for a real ``mat``; complex x is multiplied part by part,
+    as numpy would cast the whole of ``mat`` to complex on every call."""
+    if not np.iscomplexobj(x):
+        return x @ mat
+    out = np.empty(x.shape[:-1] + mat.shape[1:], dtype=np.complex128)
+    out.real = x.real @ mat
+    out.imag = x.imag @ mat
+    return out
+
+
 def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
     """Compute A @ x along the last axis in O(d log d), as complex128.
 
     Fourier/Hadamard sources run the full transform and gather the
     sampled rows; circulant sources convolve with eps and keep the first
-    M entries.  The transforms keep real input real, so only the M
-    gathered rows are cast to complex128.
+    M entries; Gaussian sources multiply by the real matrix.  These keep
+    real input real, so only the M gathered rows are cast to complex128.
     """
     x = _check_last_axis(x, src.d, "apply_rows")
     if src.kind == "partial_fourier":
@@ -191,7 +202,7 @@ def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
     elif src.kind == "partial_hadamard":
         y = fwht(x)[..., src.indices]
     elif src.kind == "dense_gaussian":
-        y = x @ src.matrix.T
+        y = _real_matmul(x, src.matrix.T)
     elif np.iscomplexobj(x):
         # Solvers apply one source to many complex iterates: reuse its spectrum.
         y = dft(_eps_spectrum(src) * dft(x), "inverse")[..., : src.M]
@@ -218,7 +229,7 @@ def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
         # Correlation with eps == convolution with the index-reversed eps,
         # whose spectrum is the conjugate spectrum (eps is real).
         return dft(np.conj(_eps_spectrum(src)) * dft(w), "inverse")
-    return np.asarray(y, dtype=np.complex128) @ src.matrix
+    return _real_matmul(y, src.matrix).astype(np.complex128, copy=False)
 
 
 def _column_indices(src: RowSource, cols) -> np.ndarray:

@@ -1,13 +1,11 @@
 """Sparse-recovery solvers driven by matrix-free operator application.
 
-Neither solver materializes the operator.  Both run one loop that holds
-Phi x of its iterate, so the residual y - Phi x never costs a transform
-of its own: IHT makes one ``apply_adjoint`` and one ``apply`` (of the
-new iterate) per iteration, CoSaMP one ``apply_adjoint`` and no
-``apply``.  Both read columns through ``columns``, in closed form and
-without a transform: IHT the at most k columns that set its step size,
-CoSaMP the columns of its merged support (at most 3k) that it did not
-already hold from the previous iteration.
+Neither solver materializes the operator or calls ``apply``.  Both run
+one loop that holds Phi x of its iterate, and both read Phi through one
+held column block, which reads through ``columns`` (closed form, no
+transform) only the columns it does not hold.  Phi of a sparse iterate
+is its columns times its values, so an iteration costs one
+``apply_adjoint`` plus the columns its support gained.
 Complex signals are supported end to end; thresholding keeps the
 entries of largest modulus, breaking ties toward the smaller index.
 """
@@ -18,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fastsketch.sketch import SketchOperator, apply, apply_adjoint, columns
+# ``apply`` is unused here but stays importable as ``recovery.apply``:
+# the tracer self-test in perfbench/ checks that alias.
+from fastsketch.sketch import SketchOperator, apply, apply_adjoint, columns  # noqa: F401
 
 __all__ = [
     "SparseSignal",
@@ -81,16 +81,15 @@ class RecoveryResult:
     iterate change reached ``tol``, or CoSaMP's residual rule held),
     ``"max_iters"`` (the iteration budget ran out) or ``"singular"``
     (CoSaMP's least-squares system could not be solved).  The solve's
-    work is counted in ``apply_calls`` (forward ``apply`` calls),
-    ``adjoint_calls`` (``apply_adjoint`` calls) and ``columns_extracted``
-    (columns read through ``columns``).
+    work is counted in ``adjoint_calls`` (``apply_adjoint`` calls) and
+    ``columns_extracted`` (columns read through ``columns``, not counting
+    those served from the held block); neither solver calls ``apply``.
     """
 
     estimate: SparseSignal
     iterations_used: int
     residual_norm: float
     stop_reason: str
-    apply_calls: int
     adjoint_calls: int
     columns_extracted: int
     residual_norms: tuple[float, ...] = ()
@@ -106,7 +105,6 @@ class RecoveryResult:
             "residual_norm": self.residual_norm,
             "converged": self.converged,
             "stop_reason": self.stop_reason,
-            "apply_calls": self.apply_calls,
             "adjoint_calls": self.adjoint_calls,
             "columns_extracted": self.columns_extracted,
             "residual_norms": list(self.residual_norms),
@@ -151,25 +149,31 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
 
 
 class _Work:
-    """One solve's calls of Phi, Phi* and ``columns``, counted for its report."""
+    """One solve's calls of Phi* and ``columns``, counted for its report."""
 
     def __init__(self, op: SketchOperator):
         self.op = op
-        self.apply_calls = 0
         self.adjoint_calls = 0
         self.columns_extracted = 0
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        self.apply_calls += 1
-        return apply(self.op, x)
+        self.held = np.empty(0, dtype=np.intp)
+        self.held_cols = np.empty((op.m, 0), dtype=np.complex128)
 
     def adjoint(self, r: np.ndarray) -> np.ndarray:
         self.adjoint_calls += 1
         return apply_adjoint(self.op, r)
 
     def columns(self, support: np.ndarray) -> np.ndarray:
-        self.columns_extracted += support.size
-        return columns(self.op, support)
+        """Phi[:, support] for a sorted, unique support, reading only what
+        the block returned last lacks; the new block is then held."""
+        have = np.isin(support, self.held, assume_unique=True)
+        cols = np.empty((self.op.m, support.size), dtype=np.complex128)
+        cols[:, have] = self.held_cols[:, np.searchsorted(self.held, support[have])]
+        if not have.all():
+            missing = support[~have]
+            self.columns_extracted += missing.size
+            cols[:, ~have] = columns(self.op, missing)
+        self.held, self.held_cols = support, cols
+        return cols
 
 
 def _validated(op: SketchOperator, y: np.ndarray, k: int, max_iters: int, tol: float) -> np.ndarray:
@@ -195,13 +199,13 @@ def _solve(op: SketchOperator, y: np.ndarray, k: int, max_iters: int, tol: float
 
     From x = 0 and Phi x = 0, each iteration forms r = y - Phi x and
     takes (x, Phi x) <- update(work, x, r); ``update`` makes its own
-    calls through ``work`` and returns Phi of its new iterate, so the
-    loop never applies Phi itself.  It stops when the relative iterate
-    change drops to ``tol`` ("converged"), after ``max_iters``
-    iterations ("max_iters"), or when ``update`` returns None because
-    its linear system is singular ("singular").  The estimate is the
-    final iterate thresholded to k terms, and ``residual_norm`` is
-    ||y - Phi x|| of the Phi x the loop holds.
+    calls through ``work`` and returns Phi of its new iterate, formed
+    from held columns, so the loop never applies Phi.  It stops when
+    the relative iterate change drops to ``tol`` ("converged"), after
+    ``max_iters`` iterations ("max_iters"), or when ``update`` returns
+    None because its linear system is singular ("singular").  The
+    estimate is the final iterate thresholded to k terms, and
+    ``residual_norm`` is ||y - Phi x|| of the Phi x the loop holds.
     """
     work = _Work(op)
     x = np.zeros(op.d, dtype=np.complex128)
@@ -225,7 +229,6 @@ def _solve(op: SketchOperator, y: np.ndarray, k: int, max_iters: int, tol: float
         iterations_used=len(residual_norms),
         residual_norm=float(np.linalg.norm(y - phi_x)),
         stop_reason=stop_reason,
-        apply_calls=work.apply_calls,
         adjoint_calls=work.adjoint_calls,
         columns_extracted=work.columns_extracted,
         residual_norms=tuple(residual_norms),
@@ -244,29 +247,21 @@ def iht(
     Iterates x <- threshold_k(x + mu g) with g = Phi*(y - Phi x), from
     x = 0.  The step mu = ||g_S||^2 / ||Phi g_S||^2 is exact line search
     on the support S of x (the top k of g while x = 0), with Phi g_S
-    taken from ``columns``; mu = 1 when Phi g_S = 0.  Stops when the
-    relative iterate change drops to ``tol`` or after ``max_iters``
-    iterations.  Each iteration makes one adjoint, reads at most k columns
-    and makes one ``apply``, of the new iterate, whose result forms the
-    next residual.
-
-    ``columns(op, S) @ g[S]`` costs O(mBk) and ``apply`` of the sparse
-    g_S costs a full transform, O(d log d).  At m=400, B=16, k=20 (one
-    BLAS thread) ``apply`` is faster only up to d = 2^14, by 0.3-0.9 ms
-    per iteration on Fourier and Hadamard sources; from d = 2^15 on
-    ``columns`` is faster, by 40-100x at d = 2^20.
+    and Phi x_new taken from held columns; mu = 1 when Phi g_S = 0.
+    Stops when the relative iterate change drops to ``tol`` or after
+    ``max_iters`` iterations.  Each iteration makes one adjoint.
     """
     y = _validated(op, y, k, max_iters, tol)
 
     def update(work: _Work, x: np.ndarray, r: np.ndarray):
         g = work.adjoint(r)
-        support = np.flatnonzero(x) if x.any() else _top_k_indices(g, k)
+        support = np.flatnonzero(x) if x.any() else np.sort(_top_k_indices(g, k))
         g_s = g[support]
         phi_g_s = work.columns(support) @ g_s
         curvature = float(np.vdot(phi_g_s, phi_g_s).real)
         mu = float(np.vdot(g_s, g_s).real) / curvature if curvature > 0 else 1.0
-        x_new = hard_threshold(x + mu * g, k).to_dense()
-        return x_new, work.apply(x_new)
+        new = hard_threshold(x + mu * g, k)
+        return new.to_dense(), work.columns(new.support) @ new.values
 
     return _solve(op, y, k, max_iters, tol, update)
 
@@ -288,24 +283,17 @@ def cosamp(
     already has ||y - Phi x|| <= tol ||y||; that iteration makes no
     adjoint, no ``columns`` call and no solve.  A singular least-squares
     system stops the loop with ``stop_reason="singular"`` instead of
-    raising.
-
-    CoSaMP never calls ``apply``.  It holds the column block of its last
-    merged support, which contains the support of the current iterate,
-    and reads through ``columns`` only the merged indices it does not
-    hold; Phi of the pruned iterate is its kept columns times their
+    raising.  Phi of the pruned iterate is its kept columns times their
     coefficients.
     """
     y = _validated(op, y, k, max_iters, tol)
     if 3 * k > op.d:
         raise ValueError(f"cosamp needs 3k <= d, got k={k}, d={op.d}")
     halt_norm = tol * float(np.linalg.norm(y))
-    held = np.empty(0, dtype=np.intp)
-    held_cols = np.empty((op.m, 0), dtype=np.complex128)
     last = None
 
     def update(work: _Work, x: np.ndarray, r: np.ndarray):
-        nonlocal held, held_cols, last
+        nonlocal last
         if x.any() and np.linalg.norm(r) <= halt_norm:
             return last
         proxy = work.adjoint(r)
@@ -314,12 +302,7 @@ def cosamp(
         merged = np.union1d(proxy_support, np.flatnonzero(x != 0)).astype(np.intp)
         if merged.size == 0:
             return np.zeros_like(x), np.zeros(op.m, dtype=np.complex128)
-        have = np.isin(merged, held, assume_unique=True)
-        cols = np.empty((op.m, merged.size), dtype=np.complex128)
-        cols[:, have] = held_cols[:, np.searchsorted(held, merged[have])]
-        if not have.all():
-            cols[:, ~have] = work.columns(merged[~have])
-        held, held_cols = merged, cols
+        cols = work.columns(merged)
         cols_h = np.conj(cols.T)
         gram = cols_h @ cols + 1e-12 * np.eye(merged.size)
         try:

@@ -187,10 +187,8 @@ def test_recover_reports_solver_work(tmp_path, solver):
                  "--max-iters", "300", "--seed", "11",
                  "--out", str(out), "--csv", str(csv)]) == EXIT_OK
     trials = read_json(out)["results"]["trials"]
-    work = ["apply_calls", "adjoint_calls", "columns_extracted"]
+    work = ["adjoint_calls", "columns_extracted"]
     for t in trials:
-        applies = t["iterations_used"] if solver == "iht" else 0
-        assert t["apply_calls"] == applies
         assert 1 <= t["adjoint_calls"] <= t["iterations_used"]
         assert t["columns_extracted"] > 0
     lines = [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")]

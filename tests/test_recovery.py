@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fastsketch.recovery as recovery
+import fastsketch.sketch as sketch
 from fastsketch.ensembles import RowSource
 from fastsketch.recovery import (
     SparseSignal,
@@ -13,7 +14,7 @@ from fastsketch.recovery import (
     iht,
     l2l1_metrics,
 )
-from fastsketch.sketch import SketchOperator, apply, build_sketch, densify_sketch
+from fastsketch.sketch import SketchOperator, apply, build_sketch, columns, densify_sketch
 
 
 def plant_signal(rng, d, k):
@@ -288,15 +289,49 @@ def test_residual_norm_is_that_of_the_estimate(solver, kind, noise_sd):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_cosamp_never_calls_apply(kind, monkeypatch):
+@pytest.mark.parametrize("solver", [iht, cosamp])
+def test_solvers_never_call_apply(solver, kind, monkeypatch):
     op, x, y = measured_instance(kind, 0.0, seed=67)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("cosamp called apply")
+        raise AssertionError(f"{solver.__name__} called apply")
 
     monkeypatch.setattr(recovery, "apply", forbidden)
-    res = cosamp(op, y, 5)
-    assert res.apply_calls == 0
+    monkeypatch.setattr(sketch, "apply", forbidden)
+    res = solver(op, y, 5)
+    assert np.linalg.norm(res.estimate.to_dense() - x) <= 1e-9 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_work_columns_reads_only_what_it_does_not_hold(kind):
+    # A held column is returned exactly as it was read.  Reading it again
+    # in another block may differ in the last bit, because the bucket sum
+    # is a BLAS product whose rounding depends on the block's width.
+    op = build_sketch(256, 64, 4, kind, seed=73)
+    work = recovery._Work(op)
+    supports = [[3, 9, 40], [3, 9, 40], [1, 9, 40, 200], [1, 2, 200, 255], [], [7], [0, 7, 255]]
+    held, read = {}, 0
+    for s in supports:
+        s = np.array(s, dtype=np.intp)
+        missing = np.array([i for i in s if i not in held], dtype=np.intp)
+        fresh = dict(zip(missing.tolist(), columns(op, missing).T))
+        held = {i: held[i] if i in held else fresh[i] for i in s.tolist()}
+        read += missing.size
+        block = work.columns(s)
+        expected = np.array([held[i] for i in s.tolist()], dtype=np.complex128)
+        np.testing.assert_array_equal(block, expected.reshape(s.size, op.m).T)
+        np.testing.assert_allclose(block, columns(op, s), rtol=0, atol=1e-15)
+        assert work.columns_extracted == read
+    assert read < sum(len(s) for s in supports)
+
+
+def test_iht_reads_only_the_columns_its_supports_gain():
+    # Reading all k support columns in every iteration would read exactly
+    # k * iterations_used; the held block reads only what a support gains.
+    op, x, y = measured_instance("fourier", 0.0, seed=79)
+    res = iht(op, y, 5)
+    assert res.converged and res.iterations_used > 2
+    assert res.columns_extracted < 5 * res.iterations_used
     assert np.linalg.norm(res.estimate.to_dense() - x) <= 1e-9 * np.linalg.norm(x)
 
 
@@ -400,7 +435,7 @@ def test_recovery_result_serializes():
     assert doc["estimate"]["d"] == 64
     assert len(doc["estimate"]["support"]) == len(doc["estimate"]["values_re"])
     assert len(doc["residual_norms"]) == doc["iterations_used"]
-    assert doc["apply_calls"] == doc["adjoint_calls"] == doc["iterations_used"]
+    assert doc["adjoint_calls"] == doc["iterations_used"]
     assert 0 < doc["columns_extracted"] <= 2 * doc["iterations_used"]
 
 
