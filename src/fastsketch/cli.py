@@ -41,7 +41,7 @@ from fastsketch.analysis import (
     mc_rip_lower_bound,
     recommend_parameters,
 )
-from fastsketch.jl import distortion_report, jl_embed, read_point_set, write_point_set
+from fastsketch.jl import _pair_distances, _ratio_report, jl_embed, read_point_set, write_point_set
 from fastsketch.recovery import cosamp, iht, l2l1_metrics
 from fastsketch.rng import derive_seed, stream
 from fastsketch.sketch import (
@@ -422,12 +422,13 @@ def _jl_points(config: dict) -> np.ndarray:
 def _run_jl(config: dict) -> dict:
     _require(config, "jl", "d", "m", "B")
     points = _jl_points(config)
+    source = _pair_distances(points)
     threads = config["_threads"]
 
     def one_trial(t: int) -> dict:
         op = build_sketch(config["d"], config["m"], config["B"], config["kind"], _operator_seed(config, t))
         embedded = jl_embed(op, points, derive_seed(config["seed"], t, "jl"))
-        rep = distortion_report(points, embedded)
+        rep = _ratio_report(source, _pair_distances(embedded))
         if t == 0 and config.get("output"):
             write_point_set(config["output"], embedded)
         return rep.to_json_dict()

@@ -18,8 +18,10 @@ from fastsketch.cli import (
     run,
     strip_timing_fields,
 )
-from fastsketch.jl import read_point_set, write_point_set
-from fastsketch.rng import derive_seed
+from fastsketch import cli
+from fastsketch.jl import distortion_report, jl_embed, read_point_set, write_point_set
+from fastsketch.rng import derive_seed, stream
+from fastsketch.sketch import build_sketch
 
 
 def read_json(path):
@@ -152,6 +154,42 @@ def test_jl_command_artifacts(tmp_path):
     header_at = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
     assert lines[header_at].split(",")[0] == "trial"
     assert len(lines) == header_at + 1 + 3
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_jl_source_distances_computed_once(monkeypatch, threads):
+    """Trials share one source pass and report what distortion_report reports."""
+    d, n = 64, 9
+    shapes = []
+    pair_distances = cli._pair_distances
+
+    def counting(points):
+        shapes.append(np.shape(points))
+        return pair_distances(points)
+
+    monkeypatch.setattr(cli, "_pair_distances", counting)
+    config = {"command": "jl", "d": d, "m": 16, "B": 4, "kind": "hadamard", "n": n,
+              "trials": 3, "seed": 5, "threads": threads}
+    reports = run(config)["results"]["trials"]
+    assert shapes.count((n, d)) == 1
+    assert len(shapes) == 1 + 3
+    points = stream(derive_seed(5, 0, "points")).standard_normal((n, d))
+    for t, got in enumerate(reports):
+        op = build_sketch(d, 16, 4, "hadamard", derive_seed(5, t, "operator"))
+        embedded = jl_embed(op, points, derive_seed(5, t, "jl"))
+        want = distortion_report(points, embedded).to_json_dict()
+        assert json.dumps(got) == json.dumps(want)
+
+
+def test_jl_rejects_non_finite_input(tmp_path):
+    pts = np.random.default_rng(3).standard_normal((4, 16))
+    pts[2, 7] = np.nan
+    path = tmp_path / "pts.csv"
+    write_point_set(path, pts)
+    assert main(["jl", "--d", "16", "--m", "8", "--B", "2", "--kind", "fourier",
+                 "--input", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "jl.json")]) == EXIT_USAGE
+    assert not (tmp_path / "jl.json").exists()
 
 
 def test_recover_command(tmp_path):

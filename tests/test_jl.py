@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from fastsketch.jl import (
+    _pair_distances,
     distortion_report,
     jl_embed,
     read_point_set,
     write_point_set,
 )
 from fastsketch.rng import derive_seed, stream
-from fastsketch.sketch import build_sketch, densify_sketch
+from fastsketch.sketch import apply, build_sketch, densify_sketch
 
 
 def test_zero_point_embeds_to_zero():
@@ -36,6 +38,7 @@ def test_embedding_matches_dense_oracle():
     emb = jl_embed(op, pts, seed=6)
     xi_rng = stream(derive_seed(6, 0, "jl-diagonal"))
     xi = xi_rng.integers(0, 2, size=64) * 2.0 - 1.0
+    np.testing.assert_array_equal(emb, apply(op, pts * xi))
     dense = densify_sketch(op)
     for i in range(6):
         np.testing.assert_allclose(emb[i], dense @ (xi * pts[i]), atol=1e-10)
@@ -62,6 +65,16 @@ def test_dimension_mismatch_rejected():
         jl_embed(op, np.zeros((2, 32)), seed=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["fourier", "hadamard", "circulant", "gaussian"])
+def test_non_finite_points_rejected(kind, bad):
+    op = build_sketch(64, 8, 4, kind, seed=10)
+    pts = np.random.default_rng(9).standard_normal((3, 64))
+    pts[1, 37] = bad
+    with pytest.raises(ValueError, match="finite"):
+        jl_embed(op, pts, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # distortion reports
 
@@ -81,6 +94,68 @@ def test_uniform_scaling_distortion():
     assert rep.max_expansion == pytest.approx(2.0)
     assert rep.min_contraction == pytest.approx(2.0)
     assert rep.epsilon_hat == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_distortion_input_rejected(bad):
+    pts = np.random.default_rng(10).standard_normal((4, 16))
+    bad_pts = pts.copy()
+    bad_pts[2, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        distortion_report(bad_pts, pts)
+    with pytest.raises(ValueError, match="finite"):
+        distortion_report(pts, bad_pts)
+
+
+def test_overflowing_squared_norm_rejected():
+    pts = np.random.default_rng(11).standard_normal((3, 16))
+    with pytest.raises(ValueError, match="finite"):
+        distortion_report(pts * 1e160, pts)
+
+
+def _direct_pair_distances(points):
+    """Reference: each pair from its own difference, i < j in row-major order."""
+    n = len(points)
+    return np.array(
+        [np.linalg.norm(points[j] - points[i]) for i in range(n) for j in range(i + 1, n)]
+    )
+
+
+def _cloud(case):
+    rng = np.random.default_rng(12)
+    pts = rng.standard_normal((9, 300))
+    if case == "complex":
+        return pts + 1j * rng.standard_normal((9, 300))
+    if case == "duplicates":
+        pts[4] = pts[1]
+        pts[8] = pts[1]
+    elif case == "near-duplicate":
+        pts[6] = pts[2] + 1e-9 * rng.standard_normal(300)
+    elif case.startswith("offset-"):
+        pts += float(case.split("-")[1])
+    return pts
+
+
+@pytest.mark.parametrize(
+    "case", ["real", "complex", "duplicates", "near-duplicate", "offset-1e3", "offset-1e6"]
+)
+def test_pair_distances_match_direct_differences(case):
+    pts = _cloud(case)
+    got = _pair_distances(pts)
+    want = _direct_pair_distances(pts)
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    real_rows = np.hstack([pts.real, pts.imag]) if np.iscomplexobj(pts) else pts
+    np.testing.assert_allclose(got, pdist(real_rows), rtol=1e-12, atol=0.0)
+
+
+def test_duplicate_pairs_counted_as_zero_distance():
+    pts = _cloud("duplicates")
+    rep = distortion_report(pts, 3.0 * pts)
+    assert rep.zero_distance_pairs == 3
+    assert rep.pairs_evaluated == 36 - 3
+    assert rep.max_expansion == pytest.approx(3.0, rel=1e-12)
+    assert rep.min_contraction == pytest.approx(3.0, rel=1e-12)
 
 
 def test_point_count_mismatch_rejected():
