@@ -379,6 +379,8 @@ def _run_apply(config: dict) -> dict:
     _require(config, "apply", "input")
     op = _build_from_config(config)
     points = read_point_set(config["input"])
+    if not np.all(np.isfinite(points)):
+        raise UsageError(f"input points in {config['input']} must be finite")
     embedded = apply(op, points)
     if config.get("output"):
         write_point_set(config["output"], embedded)

@@ -113,6 +113,8 @@ class RowSource:
                 raise ValueError(
                     f"gaussian payload must have shape ({self.M}, {self.d}), got {mat.shape}"
                 )
+            if not np.all(np.isfinite(mat)):
+                raise ValueError("gaussian payload entries must be finite")
             mat.setflags(write=False)
             object.__setattr__(self, "matrix", mat)
 

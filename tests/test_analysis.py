@@ -9,7 +9,10 @@ import scipy.linalg
 import scipy.stats
 
 from fastsketch.analysis import (
+    _CHUNK,
     _draw_supports,
+    _gram_deviation,
+    _support_chunks,
     complexify_matrix,
     complexify_vector,
     exact_rip_constant,
@@ -17,7 +20,8 @@ from fastsketch.analysis import (
     operator_norms,
     recommend_parameters,
 )
-from fastsketch.sketch import build_sketch, densify_sketch
+from fastsketch.rng import as_generator
+from fastsketch.sketch import build_sketch, columns, densify_sketch
 
 
 def random_complex(rng, *shape):
@@ -146,6 +150,148 @@ class TestMonteCarloRip:
         a = mc_rip_lower_bound(op, 4, trials=600, rng=23)
         b = mc_rip_lower_bound(op, 4, trials=600, rng=23)
         assert a.epsilon == b.epsilon
+
+
+# ---------------------------------------------------------------------------
+# bound and skip: the maximum is the one a full eigensolve gives, bit for bit
+
+
+KINDS = ("fourier", "hadamard", "circulant", "gaussian")
+#: (d, k, m) of the two ``rip`` benchmark sizes, all with B = 4.
+RIP_SIZES = ((256, 4, 16), (1024, 8, 32))
+
+
+def full_eigvalsh_deviation(submatrices):
+    """Reference: every Gram of the batch through one ``eigvalsh`` call."""
+    gram = np.conj(submatrices).swapaxes(-1, -2) @ submatrices
+    eig = np.linalg.eigvalsh(gram)
+    return max(float(eig[:, -1].max()) - 1.0, 1.0 - float(eig[:, 0].min()))
+
+
+def mc_reference(op, k, trials, seed):
+    gen = as_generator(seed)
+    batch = max(1, _CHUNK // op.m)
+    epsilon = 0.0
+    for b0 in range(0, trials, batch):
+        supports = _draw_supports(gen, op.d, k, min(batch, trials - b0))
+        epsilon = max(epsilon, full_eigvalsh_deviation(columns(op, supports)))
+    return epsilon
+
+
+def exact_reference(mat, k):
+    mat = np.asarray(mat, dtype=np.complex128)
+    epsilon = 0.0
+    for supports in _support_chunks(mat.shape[1], k):
+        epsilon = max(epsilon, full_eigvalsh_deviation(np.moveaxis(mat[:, supports], 0, 1)))
+    return epsilon
+
+
+class TestBoundAndSkip:
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    @pytest.mark.parametrize("d, k, m", RIP_SIZES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mc_matches_full_eigensolve(self, kind, d, k, m, seed):
+        op = build_sketch(d, m, 4, kind, seed=seed)
+        rep = mc_rip_lower_bound(op, k, trials=200, rng=seed + 100)
+        assert rep.epsilon == mc_reference(op, k, 200, seed + 100)
+        assert 1 <= rep.eigensolved < rep.supports_evaluated
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    @pytest.mark.parametrize("d, k, m", RIP_SIZES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exact_matches_full_eigensolve(self, kind, d, k, m, seed):
+        # the first 20 (k = 4) or 14 (k = 8) columns: 4845 or 3003 supports
+        mat = densify_sketch(build_sketch(d, m, 4, kind, seed=seed))[:, : {4: 20, 8: 14}[k]]
+        rep = exact_rip_constant(mat, k)
+        assert rep.epsilon == exact_reference(mat, k)
+        assert 1 <= rep.eigensolved < rep.supports_evaluated
+
+    def test_orthonormal_columns(self):
+        q, _ = np.linalg.qr(random_complex(np.random.default_rng(41), 8, 6))
+        rep = exact_rip_constant(q, 3)
+        assert rep.epsilon == exact_reference(q, 3)
+        assert rep.epsilon < 1e-14
+
+    def test_single_column_supports(self):
+        mat = random_complex(np.random.default_rng(43), 6, 40) / np.sqrt(12)
+        assert exact_rip_constant(mat, 1).epsilon == exact_reference(mat, 1)
+        op = build_sketch(256, 16, 4, "hadamard", seed=45)
+        assert mc_rip_lower_bound(op, 1, 300, rng=47).epsilon == mc_reference(op, 1, 300, 47)
+
+    def test_duplicate_supports_in_one_batch(self):
+        op = build_sketch(256, 16, 4, "circulant", seed=49)
+        sub = columns(op, _draw_supports(np.random.default_rng(51), 256, 4, 5))
+        tied = np.concatenate([sub, sub[::-1], sub])
+        assert _gram_deviation(tied)[0] == full_eigvalsh_deviation(tied)
+        # C(8, 2) = 28 supports, so 300 draws repeat each about ten times
+        small = build_sketch(8, 4, 2, "fourier", seed=53)
+        assert mc_rip_lower_bound(small, 2, 300, rng=55).epsilon == mc_reference(small, 2, 300, 55)
+
+    def test_near_tie_keeps_the_larger(self):
+        rng = np.random.default_rng(57)
+        u, _ = np.linalg.qr(random_complex(rng, 5, 3))
+        v, _ = np.linalg.qr(random_complex(rng, 3, 3))
+        subs = np.stack([u @ np.diag(np.sqrt([s, 1.2, 0.9])) @ v for s in (1.7, 1.7 + 2e-15)])
+        one = [full_eigvalsh_deviation(subs[i : i + 1]) for i in (0, 1)]
+        assert 0.0 < abs(one[0] - one[1]) < 1e-14
+        for batch in (subs, subs[::-1]):
+            assert _gram_deviation(batch)[0] == max(one)
+
+    def test_rounding_margin_covers_a_cluster_of_ties(self):
+        # G = I + mu v v^H: every deviation is mu = 0.5 up to rounding, and
+        # the bound (exact for a rank-one deviation) rounds below the
+        # computed deviation on about half of them, by up to ~20 units in
+        # the last place.
+        rng = np.random.default_rng(65)
+        k, n = 3, 2000
+        u, _ = np.linalg.qr(random_complex(rng, 5, k))
+        v = random_complex(rng, n, k)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        root = np.eye(k) + (np.sqrt(1.5) - 1.0) * v[:, :, None] * np.conj(v[:, None, :])
+        subs = u @ root
+        epsilon, solved = _gram_deviation(subs)
+        assert epsilon == full_eigvalsh_deviation(subs)
+        assert solved == n
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_few_supports_eigensolved(self, monkeypatch, kind):
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            solved.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        rep = mc_rip_lower_bound(build_sketch(256, 16, 4, kind, seed=59), 4, 200, rng=61)
+        assert sum(solved) == rep.eigensolved
+        assert rep.eigensolved < 20  # under 10 % of the 200 supports
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        mat = np.eye(4)
+        mat[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            exact_rip_constant(mat, 2)
+
+    def test_nan_bound_is_never_skipped(self, monkeypatch):
+        sub = random_complex(np.random.default_rng(63), 6, 8, 3)
+        sub[4, 2, 1] = np.nan
+        solved_nan = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            solved_nan.append(bool(np.isnan(a).any()))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        try:
+            epsilon, _ = _gram_deviation(sub)
+        except np.linalg.LinAlgError:  # LAPACK may refuse the NaN Gram
+            pass
+        else:
+            assert np.isnan(epsilon)
+        assert any(solved_nan)
 
 
 def floyd_reference(gen, d, k, trials, batch):

@@ -80,6 +80,7 @@ def test_rip_mc_method(tmp_path):
     rep = read_json(out)
     assert rep["results"]["rip"]["method"] == "monte_carlo"
     assert rep["results"]["rip"]["supports_evaluated"] == 10
+    assert 1 <= rep["results"]["rip"]["eigensolved"] <= 10
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +332,18 @@ def test_apply_roundtrip(tmp_path):
                  "--out", str(tmp_path / "apply.json")]) == EXIT_OK
     embedded = read_point_set(dst)
     assert embedded.shape == (4, 8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_apply_rejects_non_finite_input(tmp_path, bad):
+    pts = np.random.default_rng(3).standard_normal((4, 32))
+    pts[1, 5] = bad
+    src, dst, out = tmp_path / "in.csv", tmp_path / "out.csv", tmp_path / "apply.json"
+    write_point_set(src, pts)
+    assert main(["apply", "--d", "32", "--m", "8", "--B", "2", "--kind", "fourier",
+                 "--seed", "3", "--input", str(src), "--output", str(dst),
+                 "--out", str(out)]) == EXIT_USAGE
+    assert not dst.exists() and not out.exists()
 
 
 def test_build_then_apply_via_operator_file(tmp_path):

@@ -113,6 +113,14 @@ def test_missing_payload_rejected(kind, message):
         RowSource(kind=kind, d=8, M=4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gaussian_payload_must_be_finite(bad):
+    matrix = np.random.default_rng(3).standard_normal((4, 8))
+    matrix[2, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        RowSource(kind="gaussian", d=8, M=4, matrix=matrix)
+
+
 # ---------------------------------------------------------------------------
 # apply / adjoint / densify agreement
 
