@@ -91,9 +91,12 @@ def _eig_deviations(grams: np.ndarray) -> np.ndarray:
 def _gram_deviation(submatrices: np.ndarray, best: float = 0.0) -> tuple[float, int]:
     """Largest |eigenvalue - 1| over a batch of Gram matrices and ``best``.
 
-    ``submatrices`` has shape (batch, m, k); eigenvalues of G = S* S are
-    the squared singular values of S.  Returns that maximum and the
-    number of Grams that were eigensolved.
+    ``submatrices`` has shape (batch, m, k), float64 or complex128; eigenvalues
+    of G = S* S are the squared singular values of S.  A real batch is
+    solved in real arithmetic throughout (G = S^T S and a real symmetric
+    eigensolve), a complex one in complex arithmetic.  Returns that maximum
+    and the number of Grams that were eigensolved.  Raises ``ValueError``
+    when a finite batch has a Gram that overflows float64.
 
     Only Grams that can reach the maximum are eigensolved.  With
     D = G - I and eigenvalues mu_i of D, the bound
@@ -104,22 +107,34 @@ def _gram_deviation(submatrices: np.ndarray, best: float = 0.0) -> tuple[float, 
     as it is, so the maximum is bit-identical to solving all of them.  A
     NaN bound is never skipped.
     """
-    gram = np.conj(submatrices).swapaxes(-1, -2) @ submatrices
-    k = gram.shape[-1]
-    # D = H - I for the Hermitian H that eigvalsh reads: the lower triangle
-    # of the Gram and the real part of its diagonal.
-    dev = gram - np.eye(k)
-    rows, cols = np.nonzero(np.arange(k)[:, None] < np.arange(k))  # strict upper triangle
-    dev[:, rows, cols] = np.conj(dev[:, cols, rows])
-    dev.reshape(len(dev), -1)[:, :: k + 1].imag = 0.0
-    square = (dev @ dev).view(np.float64)
-    bound = np.sqrt(np.sqrt(np.einsum("nij,nij->n", square, square)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = submatrices.conj().swapaxes(-1, -2) @ submatrices
+        k = gram.shape[-1]
+        # D = H - I for the Hermitian H that eigvalsh reads: the lower
+        # triangle of the Gram and, for a complex Gram, the real part of its
+        # diagonal.
+        dev = gram - np.eye(k)
+        rows, cols = np.nonzero(np.arange(k)[:, None] < np.arange(k))  # strict upper triangle
+        dev[:, rows, cols] = dev[:, cols, rows].conj()
+        if np.iscomplexobj(dev):
+            dev.reshape(len(dev), -1)[:, :: k + 1].imag = 0.0
+        square = (dev @ dev).view(np.float64)
+        bound = np.sqrt(np.sqrt(np.einsum("nij,nij->n", square, square)))
 
     top = int(np.argmax(bound))  # the first NaN, if there is one
+    # A finite bound at the top means every Gram is finite.  An infinite
+    # one may come from D^2 alone, which eigvalsh does not form.
+    overflow = not np.isfinite(bound[top]) and not np.isfinite(gram).all()
+    if overflow and np.isfinite(submatrices).all():
+        raise ValueError("a Gram matrix of the finite input overflows float64")
     best = np.maximum(best, _eig_deviations(gram[top : top + 1])[0])
     # Rounding margin.  Let u = 2^-53, delta = max |mu_i| the exact
     # deviation of H, delta' the deviation eigvalsh returns and b' the
     # computed bound.  A Gram is skipped when b' <= thr, and thr <= best.
+    # The constants below are derived for complex Grams and cover real
+    # ones too: a real inner product of length k carries gamma_k <=
+    # sqrt(2) gamma_(k+2), and the real solver (dsyevd) is backward stable
+    # like the complex one (zheevd).
     # * eigvalsh is backward stable: each computed eigenvalue lies within
     #   p(k) u ||H||_2 of the exact one, and ||H||_2 <= 1 + delta.  We
     #   take p(k) = 4 k^2, a generous choice: LAPACK's own error bounds
@@ -148,10 +163,13 @@ def exact_rip_constant(mat: np.ndarray, k: int, *, cap: int = SUPPORT_CAP) -> Ri
 
     Every one of the C(d, k) supports is bounded, and the maximum is taken
     exactly over the ones that can reach it (see ``_gram_deviation``), so
-    ``epsilon`` equals the largest deviation of all supports.
+    ``epsilon`` equals the largest deviation of all supports.  A real
+    matrix is measured in float64 arithmetic and a complex one in
+    complex128; a finite matrix whose Gram overflows raises ``ValueError``.
     """
     start = time.perf_counter()
-    mat = np.asarray(mat, dtype=np.complex128)
+    mat = np.asarray(mat)
+    mat = mat.astype(np.complex128 if np.iscomplexobj(mat) else np.float64, copy=False)
     if mat.ndim != 2:
         raise ValueError("expected an explicit 2-D matrix")
     if not np.all(np.isfinite(mat)):

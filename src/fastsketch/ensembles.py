@@ -254,27 +254,33 @@ def _source_blocks(src: RowSource, cols: np.ndarray, rows: int):
     and comes from the closed form of each entry, with no transform:
     float64 (+-1, or the Gaussian entries) for Hadamard, circulant and
     Gaussian sources, complex128 roots of unity for Fourier sources.
-    ``cols`` must already be validated intp column indices.
+    ``cols`` must already be validated intp column indices.  No index
+    temporary outlives its block's construction.
     """
-    mask = src.d - 1  # d is a power of two, so "& mask" is "mod d"
     for r0 in range(0, src.M, rows):
-        r1 = min(src.M, r0 + rows)
-        if src.kind == "partial_fourier":
-            # Reducing the phase in integers keeps every entry accurate to
-            # rounding at any d; exp of the unreduced product would not.
-            phase = np.multiply.outer(src.indices[r0:r1], cols)
-            phase &= mask
-            yield _roots_of_unity(src)[phase]
-        elif src.kind == "partial_hadamard":
-            parity = np.bitwise_count(np.bitwise_and.outer(src.indices[r0:r1], cols))
-            parity &= 1
-            yield 1.0 - 2.0 * parity
-        elif src.kind == "partial_circulant":
-            shift = np.subtract.outer(np.arange(r0, r1), cols)
-            shift &= mask
-            yield src.eps[shift]
-        else:
-            yield src.matrix[r0:r1, cols]
+        yield _source_block(src, cols, r0, min(src.M, r0 + rows))
+
+
+def _source_block(src: RowSource, cols: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """A[r0:r1, cols] from the closed form of each entry (see ``_source_blocks``)."""
+    mask = src.d - 1  # d is a power of two, so "& mask" is "mod d"
+    if src.kind == "partial_fourier":
+        # Reducing the phase in integers keeps every entry accurate to
+        # rounding at any d; exp of the unreduced product would not.
+        phase = np.multiply.outer(src.indices[r0:r1], cols)
+        phase &= mask
+        return _roots_of_unity(src)[phase]
+    if src.kind == "partial_hadamard":
+        parity = np.bitwise_count(np.bitwise_and.outer(src.indices[r0:r1], cols))
+        parity &= 1
+        block = np.multiply(parity, -2.0)  # 1 - 2 parity, with one float64 temporary
+        block += 1.0
+        return block
+    if src.kind == "partial_circulant":
+        shift = np.subtract.outer(np.arange(r0, r1), cols)
+        shift &= mask
+        return src.eps[shift]
+    return src.matrix[r0:r1, cols]
 
 
 def densify(src: RowSource, *, cap: int = DENSIFY_CAP) -> np.ndarray:

@@ -133,32 +133,41 @@ def apply_adjoint(op: SketchOperator, z: np.ndarray) -> np.ndarray:
 def columns(op: SketchOperator, support: np.ndarray) -> np.ndarray:
     """(1/sqrt(mB)) * Phi[:, support], shape (..., m, k) for a support (..., k).
 
-    Signed bucket sums of the source's closed-form columns, O(mB) per
-    column with no transform.  The source block is built a few buckets
-    at a time (about ``_BLOCK_ENTRIES`` float64 entries) and summed into
-    the output at once, as a batched (1 x B) @ (B x k) matmul per bucket,
-    so no (m*B, k) block is ever held.  Fourier blocks enter the matmul
-    as their float64 view (real and imaginary parts side by side); the
-    other sources are real.
+    The block has the source's own dtype: float64 for Hadamard, circulant
+    and Gaussian sources, whose Phi is real, and complex128 for Fourier
+    sources.  Signed bucket sums of the source's closed-form columns,
+    O(mB) per column with no transform.  The source block is built a few
+    buckets at a time (about ``_BLOCK_ENTRIES`` float64 entries) and
+    summed into the output at once, as a batched (1 x B) @ (B x k) matmul
+    per bucket, so no (m*B, k) block is ever held, and a block is
+    released before the next one is built.  Fourier blocks enter the
+    matmul as their float64 view (real and imaginary parts side by side).
     """
     support = _column_indices(op.source, support)
-    out = np.zeros((op.m,) + support.shape, dtype=np.complex128)
-    flat = out.reshape(op.m, support.size)
     fourier = op.source.kind == "partial_fourier"
-    sums = flat.view(np.float64) if fourier else flat.real
+    out = np.empty((op.m,) + support.shape, dtype=np.complex128 if fourier else np.float64)
+    sums = out.reshape(op.m, support.size)
+    if fourier:
+        sums = sums.view(np.float64)
     buckets = max(1, _BLOCK_ENTRIES // max(1, op.B * sums.shape[1]))
     blocks = _source_blocks(op.source, support, buckets * op.B)
-    for b0, block in zip(range(0, op.m, buckets), blocks):
+    for b0 in range(0, op.m, buckets):
+        block = next(blocks)
         if fourier:
             block = block.view(np.float64)
         b1 = b0 + block.shape[0] // op.B
         sums[b0:b1] = (op.signs[b0:b1, None, :] @ block.reshape(b1 - b0, op.B, -1))[:, 0]
+        del block  # so the next block is not built while this one is held
     out *= op.scale
     return np.moveaxis(out, 0, -2)
 
 
 def densify_sketch(op: SketchOperator, *, cap: int = DENSIFY_CAP) -> np.ndarray:
-    """Materialize the m x d operator, row b = scale * sum_i signs[b,i] a_{h(b,i)}."""
+    """Materialize the m x d operator, row b = scale * sum_i signs[b,i] a_{h(b,i)}.
+
+    Read through ``columns``, so it has the source's dtype: float64 for
+    Hadamard, circulant and Gaussian sources, complex128 for Fourier.
+    """
     if op.m * op.d > cap:
         raise ValueError(
             f"densify_sketch would materialize {op.m}x{op.d} entries, exceeding cap {cap}"

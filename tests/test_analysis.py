@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+import fastsketch.analysis as analysis
 from fastsketch.analysis import (
     _CHUNK,
     _draw_supports,
@@ -162,8 +163,12 @@ RIP_SIZES = ((256, 4, 16), (1024, 8, 32))
 
 
 def full_eigvalsh_deviation(submatrices):
-    """Reference: every Gram of the batch through one ``eigvalsh`` call."""
-    gram = np.conj(submatrices).swapaxes(-1, -2) @ submatrices
+    """Reference: every Gram of the batch through one ``eigvalsh`` call.
+
+    The Gram is formed as ``_gram_deviation`` forms it: a real S^T S may
+    round differently when S^T is a copy rather than a view of S.
+    """
+    gram = submatrices.conj().swapaxes(-1, -2) @ submatrices
     eig = np.linalg.eigvalsh(gram)
     return max(float(eig[:, -1].max()) - 1.0, 1.0 - float(eig[:, 0].min()))
 
@@ -179,7 +184,9 @@ def mc_reference(op, k, trials, seed):
 
 
 def exact_reference(mat, k):
-    mat = np.asarray(mat, dtype=np.complex128)
+    # the dtype exact_rip_constant solves in: float64 for real input
+    mat = np.asarray(mat)
+    mat = mat.astype(np.complex128 if np.iscomplexobj(mat) else np.float64)
     epsilon = 0.0
     for supports in _support_chunks(mat.shape[1], k):
         epsilon = max(epsilon, full_eigvalsh_deviation(np.moveaxis(mat[:, supports], 0, 1)))
@@ -292,6 +299,58 @@ class TestBoundAndSkip:
         else:
             assert np.isnan(epsilon)
         assert any(solved_nan)
+
+
+REAL_KINDS = ("hadamard", "circulant", "gaussian")
+
+
+class TestRealArithmetic:
+    """Real operators are measured in float64; complex128 agrees to rounding."""
+
+    @pytest.mark.parametrize("d, k, m", RIP_SIZES)
+    @pytest.mark.parametrize("kind", REAL_KINDS)
+    def test_mc_matches_complex_columns(self, monkeypatch, kind, d, k, m):
+        op = build_sketch(d, m, 4, kind, seed=111)
+        real = mc_rip_lower_bound(op, k, 200, rng=113)
+        monkeypatch.setattr(analysis, "columns", lambda o, s: columns(o, s).astype(np.complex128))
+        cplx = mc_rip_lower_bound(op, k, 200, rng=113)
+        assert real.epsilon == pytest.approx(cplx.epsilon, rel=1e-14, abs=0)
+        assert real.eigensolved == cplx.eigensolved
+
+    @pytest.mark.parametrize("kind", REAL_KINDS)
+    def test_exact_solves_real_input_in_float64(self, monkeypatch, kind):
+        mat = densify_sketch(build_sketch(256, 16, 4, kind, seed=117))[:, :20]
+        grams = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            grams.append(a.dtype)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        real = exact_rip_constant(mat, 4)
+        assert grams and set(grams) == {np.dtype(np.float64)}
+        cplx = exact_rip_constant(mat.astype(np.complex128), 4)
+        assert np.dtype(np.complex128) in grams
+        assert real.epsilon == pytest.approx(cplx.epsilon, rel=1e-14, abs=0)
+        assert real.eigensolved == cplx.eigensolved
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize(
+        "mat", [np.eye(4) * 1e200, np.full((3, 4), 1e160)], ids=["eye", "full"]
+    )
+    def test_overflowing_gram_raises(self, mat, dtype):
+        # filterwarnings = error: an overflow warning would fail this test.
+        with pytest.raises(ValueError, match="overflow"):
+            exact_rip_constant(mat.astype(dtype), 2)
+        with pytest.raises(ValueError, match="overflow"):
+            _gram_deviation(mat.astype(dtype)[None, :, :2])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_finite_gram_with_overflowing_bound_is_solved(self, dtype):
+        # G = 1e200 I is finite, but (G - I)^2 overflows; eigvalsh needs no square.
+        rep = exact_rip_constant((np.eye(4) * 1e100).astype(dtype), 2)
+        assert rep.epsilon == pytest.approx(1e200, rel=1e-14)
 
 
 def floyd_reference(gen, d, k, trials, batch):

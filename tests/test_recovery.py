@@ -325,6 +325,18 @@ def test_work_columns_reads_only_what_it_does_not_hold(kind):
     assert read < sum(len(s) for s in supports)
 
 
+@pytest.mark.parametrize("kind", ["hadamard", "circulant", "gaussian"])
+@pytest.mark.parametrize("solver", [iht, cosamp])
+def test_real_column_blocks_leave_solves_unchanged(solver, kind, monkeypatch):
+    # The held block is complex128 whatever ``columns`` returns, and a
+    # float64 block casts to the same values, so a solve is identical to
+    # one whose ``columns`` returns complex128 itself.
+    op, _, y = measured_instance(kind, 0.01, seed=83)
+    real = solver(op, y, 5)
+    monkeypatch.setattr(recovery, "columns", lambda o, s: columns(o, s).astype(np.complex128))
+    assert solver(op, y, 5).to_json_dict() == real.to_json_dict()
+
+
 def test_iht_reads_only_the_columns_its_supports_gain():
     # Reading all k support columns in every iteration would read exactly
     # k * iterations_used; the held block reads only what a support gains.

@@ -19,6 +19,13 @@ from fastsketch.sketch import (
 )
 
 ALL_KINDS = ("fourier", "hadamard", "circulant", "gaussian")
+#: dtype of ``columns`` and ``densify_sketch``: Phi is real for every kind but Fourier.
+COLUMN_DTYPES = {
+    "fourier": np.complex128,
+    "hadamard": np.float64,
+    "circulant": np.float64,
+    "gaussian": np.float64,
+}
 
 
 def random_complex(rng, n):
@@ -189,6 +196,7 @@ def test_flipping_all_signs_negates():
 def test_dense_columns_match_basis_applications(kind):
     op = build_sketch(32, 4, 4, kind, seed=71)
     dense = densify_sketch(op)
+    assert dense.dtype == COLUMN_DTYPES[kind]
     for j in (0, 7, 31):
         e = np.zeros(32)
         e[j] = 1.0
@@ -197,9 +205,9 @@ def test_dense_columns_match_basis_applications(kind):
     np.testing.assert_array_equal(densify_sketch(op, cap=op.m * op.d), dense)
     support = np.array([[0, 7, 31], [2, 3, 16]])  # (n, k) -> (n, m, k)
     basis = np.eye(32)[support]
-    np.testing.assert_allclose(
-        columns(op, support), np.swapaxes(apply(op, basis), -1, -2), atol=1e-11
-    )
+    got = columns(op, support)
+    assert got.dtype == COLUMN_DTYPES[kind]
+    np.testing.assert_allclose(got, np.swapaxes(apply(op, basis), -1, -2), atol=1e-11)
 
 
 def full_block_columns(op, support):
@@ -221,7 +229,7 @@ def test_columns_match_full_block_reference(kind, shape):
     assert 1 <= buckets < op.m and op.m % buckets != 0
     got = columns(op, support)
     want = full_block_columns(op, support)
-    assert got.dtype == np.complex128 and got.shape == shape[:-1] + (op.m, shape[-1])
+    assert got.dtype == COLUMN_DTYPES[kind] and got.shape == shape[:-1] + (op.m, shape[-1])
     if kind in ("hadamard", "circulant"):
         # Sums of +-1 entries are exact integers in any order.
         np.testing.assert_array_equal(got, want)
@@ -230,9 +238,11 @@ def test_columns_match_full_block_reference(kind, shape):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("kind", ("fourier", "hadamard", "circulant"))
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_columns_peak_memory_is_a_few_outputs(kind):
-    op = build_sketch(2**14, 400, 16, kind, seed=103)
+    # The Gaussian source holds its whole M x d matrix, so it gets a smaller
+    # d; the blocks ``columns`` builds do not depend on d.
+    op = build_sketch(2**11 if kind == "gaussian" else 2**14, 400, 16, kind, seed=103)
     support = np.sort(np.random.default_rng(107).choice(op.d, 60, replace=False))
     tracemalloc.start()
     try:
