@@ -465,15 +465,16 @@ def _run_recover(config: dict) -> dict:
 
     def one_trial(t: int) -> dict:
         op = build_sketch(d, config["m"], config["B"], config["kind"], _operator_seed(config, t))
+        # A real signal stays float64, so a real source applies it in real arithmetic.
         if input_signal is not None:
-            x = np.asarray(input_signal, dtype=np.complex128)
+            x = input_signal
         else:
             gen = stream(derive_seed(config["seed"], t, "signal"))
             support = np.sort(gen.choice(d, size=k, replace=False))
             values = gen.standard_normal(k)
             if config["complex_signal"]:
                 values = values + 1j * gen.standard_normal(k)
-            x = np.zeros(d, dtype=np.complex128)
+            x = np.zeros(d, dtype=values.dtype)
             x[support] = values
         y = apply(op, x)
         if config["noise_sd"] > 0:

@@ -214,24 +214,37 @@ def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
 
 
 def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
-    """Compute the conjugate-transpose product A* @ y along the last axis."""
+    """Compute the conjugate-transpose product A* @ y along the last axis.
+
+    Real input on a real source (Hadamard, circulant, Gaussian) stays
+    real and returns float64; Fourier sources and complex input return
+    complex128.
+    """
     y = _check_last_axis(y, src.M, "apply_rows_adjoint")
+    real = not np.iscomplexobj(y)
     if src.kind in ("partial_fourier", "partial_hadamard"):
-        w = np.zeros(y.shape[:-1] + (src.d,), dtype=np.complex128)
+        w = np.zeros(y.shape[:-1] + (src.d,), dtype=np.float64 if real else np.complex128)
         # One 1-D scatter per row: numpy's fast path for np.add.at.
         for w_row, y_row in zip(w.reshape(-1, src.d), y.reshape(-1, src.M)):
             np.add.at(w_row, src.indices, y_row)
         if src.kind == "partial_fourier":
             # F* w = d * inverse-DFT(w) for the unnormalized forward F.
-            return dft(w, "inverse") * src.d
+            out = dft(w, "inverse")
+            out *= src.d
+            return out
         return fwht(w)
     if src.kind == "partial_circulant":
-        w = np.zeros(y.shape[:-1] + (src.d,), dtype=np.complex128)
-        w[..., : src.M] = y
         # Correlation with eps == convolution with the index-reversed eps,
         # whose spectrum is the conjugate spectrum (eps is real).
-        return dft(np.conj(_eps_spectrum(src)) * dft(w), "inverse")
-    return _real_matmul(y, src.matrix).astype(np.complex128, copy=False)
+        spectrum = np.conj(_eps_spectrum(src))
+        if real:
+            # rfft zero-pads y to d; the half spectrum is the first d/2 + 1 bins.
+            half = spectrum[: src.d // 2 + 1] * np.fft.rfft(y, src.d)
+            return np.fft.irfft(half, src.d)
+        w = np.zeros(y.shape[:-1] + (src.d,), dtype=np.complex128)
+        w[..., : src.M] = y
+        return dft(spectrum * dft(w), "inverse")
+    return _real_matmul(y, src.matrix)
 
 
 def _column_indices(src: RowSource, cols) -> np.ndarray:

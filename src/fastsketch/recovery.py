@@ -1,13 +1,18 @@
 """Sparse-recovery solvers driven by matrix-free operator application.
 
 Neither solver materializes the operator or calls ``apply``.  Both run
-one loop that holds Phi x of its iterate, and both read Phi through one
-held column block, which reads through ``columns`` (closed form, no
-transform) only the columns it does not hold.  Phi of a sparse iterate
-is its columns times its values, so an iteration costs one
-``apply_adjoint`` plus the columns its support gained.
-Complex signals are supported end to end; thresholding keeps the
-entries of largest modulus, breaking ties toward the smaller index.
+one loop that holds its iterate sparsely, as (support, values) plus
+Phi x, and both read Phi through one held column block, which reads
+through ``columns`` (closed form, no transform) only the columns it
+does not hold and returns the block itself when asked for the support
+it holds.  Phi of a sparse iterate is its columns times its values, so
+an iteration costs one ``apply_adjoint``, one top-k partition of its
+output, and work on the support alone.
+A solve runs in its problem's own dtype: float64 when Phi is real
+(Hadamard, circulant and Gaussian sources) and the measurements have no
+nonzero imaginary part, complex128 otherwise; estimates are complex128.
+Thresholding keeps the entries of largest modulus, breaking ties toward
+the smaller index.
 """
 
 from __future__ import annotations
@@ -119,11 +124,18 @@ def _top_k_indices(x: np.ndarray, k: int) -> np.ndarray:
     """
     if k == 0:
         return np.empty(0, dtype=np.intp)
-    neg = -np.abs(x)
+    neg = np.abs(x)
+    np.negative(neg, out=neg)
     # Not "<=": a NaN k-th value then keeps every entry, and the stable
     # sort puts NaN last, as a full sort would.
     candidates = np.flatnonzero(~(neg > np.partition(neg, k - 1)[k - 1]))
     return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+
+
+def _top_k_support(x: np.ndarray, k: int) -> np.ndarray:
+    """Sorted indices of the nonzero entries among the top min(k, len(x)) of x."""
+    keep = np.sort(_top_k_indices(x, min(k, x.shape[0])))
+    return keep[x[keep] != 0]  # never store explicit zeros
 
 
 def hard_threshold(x: np.ndarray, k: int) -> SparseSignal:
@@ -135,50 +147,70 @@ def hard_threshold(x: np.ndarray, k: int) -> SparseSignal:
         raise ValueError(f"sparsity k must be nonnegative, got {k}")
     if k > x.shape[0]:
         raise ValueError(f"sparsity k={k} exceeds dimension {x.shape[0]}")
-    keep = np.sort(_top_k_indices(x, k))
-    keep = keep[x[keep] != 0]  # never store explicit zeros
+    keep = _top_k_support(x, k)
     return SparseSignal(d=x.shape[0], support=keep, values=x[keep])
 
 
-def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
-    denom = float(np.linalg.norm(new))
-    diff = float(np.linalg.norm(new - old))
+def _relative_change(new: tuple, old: tuple) -> float:
+    """||x_new - x_old|| / ||x_new|| for iterates held as (support, values,
+    Phi x), formed over the union of the two supports."""
+    (new_support, new_values, _), (old_support, old_values, _) = new, old
+    union = np.union1d(new_support, old_support)
+    diff = np.zeros(union.size, dtype=np.result_type(new_values, old_values))
+    diff[np.searchsorted(union, new_support)] = new_values
+    diff[np.searchsorted(union, old_support)] -= old_values
+    denom = float(np.linalg.norm(new_values))
+    change = float(np.linalg.norm(diff))
     if denom == 0.0:
-        return 0.0 if diff == 0.0 else np.inf
-    return diff / denom
+        return 0.0 if change == 0.0 else np.inf
+    return change / denom
 
 
 class _Work:
-    """One solve's calls of Phi* and ``columns``, counted for its report."""
+    """One solve's calls of Phi* and ``columns`` in its working dtype,
+    counted for its report.
 
-    def __init__(self, op: SketchOperator):
+    ``columns`` holds the last block it returned.  Asked for the support
+    it holds, it returns that block itself, uncopied; otherwise it reads
+    through ``columns`` only the columns it lacks.  Returned blocks are
+    read-only.
+    """
+
+    def __init__(self, op: SketchOperator, dtype):
         self.op = op
+        self.dtype = np.dtype(dtype)
         self.adjoint_calls = 0
         self.columns_extracted = 0
         self.held = np.empty(0, dtype=np.intp)
-        self.held_cols = np.empty((op.m, 0), dtype=np.complex128)
+        self.held_cols = np.empty((op.m, 0), dtype=self.dtype)
 
     def adjoint(self, r: np.ndarray) -> np.ndarray:
         self.adjoint_calls += 1
         return apply_adjoint(self.op, r)
 
     def columns(self, support: np.ndarray) -> np.ndarray:
-        """Phi[:, support] for a sorted, unique support, reading only what
-        the block returned last lacks; the new block is then held."""
+        """Phi[:, support] for a sorted, unique support (see the class)."""
+        if np.array_equal(support, self.held):
+            return self.held_cols
         have = np.isin(support, self.held, assume_unique=True)
-        cols = np.empty((self.op.m, support.size), dtype=np.complex128)
+        cols = np.empty((self.op.m, support.size), dtype=self.dtype)
         cols[:, have] = self.held_cols[:, np.searchsorted(self.held, support[have])]
         if not have.all():
             missing = support[~have]
             self.columns_extracted += missing.size
             cols[:, ~have] = columns(self.op, missing)
+        cols.setflags(write=False)
         self.held, self.held_cols = support, cols
         return cols
 
 
 def _validated(op: SketchOperator, y: np.ndarray, k: int, max_iters: int, tol: float) -> np.ndarray:
-    """Check a solver's arguments; return the measurements as complex128."""
-    y = np.asarray(y, dtype=np.complex128)
+    """Check a solver's arguments; return the measurements in the working dtype.
+
+    That is float64 when Phi is real (every kind but Fourier) and y has
+    no nonzero imaginary part, and complex128 otherwise.
+    """
+    y = np.asarray(y)
     if y.shape != (op.m,):
         raise ValueError(f"measurements must have shape ({op.m},), got {y.shape}")
     if not np.all(np.isfinite(y)):
@@ -191,41 +223,46 @@ def _validated(op: SketchOperator, y: np.ndarray, k: int, max_iters: int, tol: f
         raise ValueError("max_iters must be at least 1")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    return y
+    if op.source.kind == "partial_fourier" or np.any(np.imag(y)):
+        return y.astype(np.complex128, copy=False)
+    return np.real(y).astype(np.float64, copy=False)
 
 
 def _solve(op: SketchOperator, y: np.ndarray, k: int, max_iters: int, tol: float, update):
     """The iteration shared by the solvers, on validated arguments.
 
-    From x = 0 and Phi x = 0, each iteration forms r = y - Phi x and
-    takes (x, Phi x) <- update(work, x, r); ``update`` makes its own
-    calls through ``work`` and returns Phi of its new iterate, formed
-    from held columns, so the loop never applies Phi.  It stops when
-    the relative iterate change drops to ``tol`` ("converged"), after
-    ``max_iters`` iterations ("max_iters"), or when ``update`` returns
-    None because its linear system is singular ("singular").  The
-    estimate is the final iterate thresholded to k terms, and
-    ``residual_norm`` is ||y - Phi x|| of the Phi x the loop holds.
+    The iterate is held sparsely, as (support, values, Phi x) in y's
+    working dtype: a sorted support with no explicit zeros, its values,
+    and Phi x.  From the empty iterate, each iteration forms
+    r = y - Phi x and takes the iterate <- update(work, iterate, r);
+    ``update`` makes its own calls through ``work`` and forms Phi of its
+    new iterate from held columns, so the loop never applies Phi.  It
+    stops when the relative iterate change, over the union of the two
+    supports, drops to ``tol`` ("converged"), after ``max_iters``
+    iterations ("max_iters"), or when ``update`` returns None because
+    its linear system is singular ("singular").  The estimate is the
+    final (support, values), and ``residual_norm`` is ||y - Phi x|| of
+    the Phi x the loop holds.
     """
-    work = _Work(op)
-    x = np.zeros(op.d, dtype=np.complex128)
-    phi_x = np.zeros(op.m, dtype=np.complex128)
+    work = _Work(op, y.dtype)
+    iterate = (np.empty(0, dtype=np.intp), np.empty(0, dtype=y.dtype), np.zeros(op.m, dtype=y.dtype))
     residual_norms = []
     stop_reason = "max_iters"
     for _ in range(max_iters):
-        r = y - phi_x
+        r = y - iterate[2]
         residual_norms.append(float(np.linalg.norm(r)))
-        step = update(work, x, r)
+        step = update(work, iterate, r)
         if step is None:
             stop_reason = "singular"
             break
-        change = _relative_change(step[0], x)
-        x, phi_x = step
+        change = _relative_change(step, iterate)
+        iterate = step
         if change <= tol:
             stop_reason = "converged"
             break
+    support, values, phi_x = iterate
     return RecoveryResult(
-        estimate=hard_threshold(x, k),
+        estimate=SparseSignal(d=op.d, support=support, values=values),
         iterations_used=len(residual_norms),
         residual_norm=float(np.linalg.norm(y - phi_x)),
         stop_reason=stop_reason,
@@ -248,20 +285,26 @@ def iht(
     x = 0.  The step mu = ||g_S||^2 / ||Phi g_S||^2 is exact line search
     on the support S of x (the top k of g while x = 0), with Phi g_S
     and Phi x_new taken from held columns; mu = 1 when Phi g_S = 0.
-    Stops when the relative iterate change drops to ``tol`` or after
-    ``max_iters`` iterations.  Each iteration makes one adjoint.
+    x + mu g is formed in the adjoint's own output: g is scaled by mu in
+    place and x's values are added on its support.  Stops when the
+    relative iterate change drops to ``tol`` or after ``max_iters``
+    iterations.  Each iteration makes one adjoint.
     """
     y = _validated(op, y, k, max_iters, tol)
 
-    def update(work: _Work, x: np.ndarray, r: np.ndarray):
+    def update(work: _Work, iterate: tuple, r: np.ndarray):
+        support, values, _ = iterate
         g = work.adjoint(r)
-        support = np.flatnonzero(x) if x.any() else np.sort(_top_k_indices(g, k))
-        g_s = g[support]
-        phi_g_s = work.columns(support) @ g_s
+        search = support if support.size else np.sort(_top_k_indices(g, k))
+        g_s = g[search]
+        phi_g_s = work.columns(search) @ g_s
         curvature = float(np.vdot(phi_g_s, phi_g_s).real)
         mu = float(np.vdot(g_s, g_s).real) / curvature if curvature > 0 else 1.0
-        new = hard_threshold(x + mu * g, k)
-        return new.to_dense(), work.columns(new.support) @ new.values
+        g *= mu
+        g[support] += values  # x + mu g, as x is zero off its support
+        kept = _top_k_support(g, k)
+        new_values = g[kept]
+        return kept, new_values, work.columns(kept) @ new_values
 
     return _solve(op, y, k, max_iters, tol, update)
 
@@ -277,7 +320,8 @@ def cosamp(
 
     Per iteration: take the top-2k support of the adjoint proxy, merge
     with the current support, least-squares on the merged columns
-    (normal equations with a 1e-12 diagonal ridge), prune to the top k.
+    (normal equations with a 1e-12 diagonal ridge), prune the merged
+    coefficients to their top k.
     The loop halts as "converged" when the relative iterate change drops
     to ``tol``, or at the top of an iteration whose nonzero iterate
     already has ||y - Phi x|| <= tol ||y||; that iteration makes no
@@ -290,31 +334,24 @@ def cosamp(
     if 3 * k > op.d:
         raise ValueError(f"cosamp needs 3k <= d, got k={k}, d={op.d}")
     halt_norm = tol * float(np.linalg.norm(y))
-    last = None
 
-    def update(work: _Work, x: np.ndarray, r: np.ndarray):
-        nonlocal last
-        if x.any() and np.linalg.norm(r) <= halt_norm:
-            return last
+    def update(work: _Work, iterate: tuple, r: np.ndarray):
+        support = iterate[0]
+        if support.size and np.linalg.norm(r) <= halt_norm:
+            return iterate
         proxy = work.adjoint(r)
-        proxy_support = _top_k_indices(proxy, 2 * k)
-        proxy_support = proxy_support[proxy[proxy_support] != 0]
-        merged = np.union1d(proxy_support, np.flatnonzero(x != 0)).astype(np.intp)
+        merged = np.union1d(_top_k_support(proxy, 2 * k), support)
         if merged.size == 0:
-            return np.zeros_like(x), np.zeros(op.m, dtype=np.complex128)
+            return iterate
         cols = work.columns(merged)
-        cols_h = np.conj(cols.T)
+        cols_h = cols.conj().T
         gram = cols_h @ cols + 1e-12 * np.eye(merged.size)
         try:
             coef = np.linalg.solve(gram, cols_h @ y)
         except np.linalg.LinAlgError:
             return None
-        dense = np.zeros(op.d, dtype=np.complex128)
-        dense[merged] = coef
-        estimate = hard_threshold(dense, k)
-        kept = np.searchsorted(merged, estimate.support)
-        last = (estimate.to_dense(), cols[:, kept] @ coef[kept])
-        return last
+        kept = _top_k_support(coef, k)
+        return merged[kept], coef[kept], cols[:, kept] @ coef[kept]
 
     return _solve(op, y, k, max_iters, tol, update)
 

@@ -112,9 +112,12 @@ def build_sketch(d: int, m: int, B: int, kind: str, seed: int) -> SketchOperator
 
 
 def apply(op: SketchOperator, x: np.ndarray) -> np.ndarray:
-    """Compute (1/sqrt(mB)) * Phi @ x along the last axis.
+    """Compute (1/sqrt(mB)) * Phi @ x along the last axis, as complex128.
 
     One fast source multiply, then signed bucket sums: O(d log d + mB).
+    The input is not checked for non-finite values: NaN and inf
+    propagate into the output (an inf can meet an opposite one in a
+    sum, giving NaN and numpy's invalid-value ``RuntimeWarning``).
     """
     y = apply_rows(op.source, x)
     buckets = y.reshape(y.shape[:-1] + (op.m, op.B))
@@ -122,11 +125,18 @@ def apply(op: SketchOperator, x: np.ndarray) -> np.ndarray:
 
 
 def apply_adjoint(op: SketchOperator, z: np.ndarray) -> np.ndarray:
-    """Compute (1/sqrt(mB)) * Phi* @ z along the last axis."""
+    """Compute (1/sqrt(mB)) * Phi* @ z along the last axis.
+
+    Real input on a Hadamard, circulant or Gaussian source (whose Phi is
+    real) stays real and returns float64; Fourier sources and complex
+    input return complex128.  As in ``apply``, non-finite values are not
+    checked: NaN and inf propagate into the output.
+    """
     z = np.asarray(z)
     if z.ndim == 0 or z.shape[-1] != op.m:
         raise ValueError(f"apply_adjoint: expected last-axis length {op.m}, got {z.shape}")
-    w = (op.scale * op.signs) * np.asarray(z, dtype=np.complex128)[..., :, None]
+    z = z.astype(np.complex128 if np.iscomplexobj(z) else np.float64, copy=False)
+    w = (op.scale * op.signs) * z[..., :, None]
     return apply_rows_adjoint(op.source, w.reshape(z.shape[:-1] + (op.m * op.B,)))
 
 

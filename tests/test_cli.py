@@ -257,6 +257,37 @@ def test_recover_reports_head_tail_ratio_for_dense_signals(tmp_path):
     assert isinstance(trial["head_tail_ratio"], float) and trial["head_tail_ratio"] > 0
 
 
+@pytest.mark.parametrize(
+    "extra, expected",
+    [([], np.float64), (["--complex-signal"], np.complex128), (["--input"], np.float64),
+     (["--input", "complex"], np.complex128)],
+    ids=["planted", "planted-complex", "real-input", "complex-input"],
+)
+def test_recover_applies_a_real_signal_as_float64(tmp_path, monkeypatch, extra, expected):
+    # A real signal is applied as float64 (one real transform), a complex
+    # one as complex128.
+    argv = ["recover", "--d", "64", "--k", "3", "--m", "32", "--B", "2",
+            "--kind", "hadamard", "--trials", "2", "--seed", "13",
+            "--out", str(tmp_path / "rec.json")]
+    if extra[:1] == ["--input"]:
+        points = np.random.default_rng(3).standard_normal((1, 64))
+        if extra[1:] == ["complex"]:
+            points = points + 1j * points
+        write_point_set(tmp_path / "x.csv", points)
+        argv += ["--input", str(tmp_path / "x.csv")]
+    else:
+        argv += extra
+    seen, real_apply = [], cli.apply
+
+    def logged(op, x):
+        seen.append(x.dtype)
+        return real_apply(op, x)
+
+    monkeypatch.setattr(cli, "apply", logged)
+    assert main(argv) == EXIT_OK
+    assert seen == [np.dtype(expected)] * 2
+
+
 def test_recover_with_noise_runs_and_records(tmp_path):
     out = tmp_path / "noisy.json"
     assert main(["recover", "--d", "128", "--k", "3", "--m", "64", "--B", "4",

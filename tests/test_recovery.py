@@ -14,7 +14,14 @@ from fastsketch.recovery import (
     iht,
     l2l1_metrics,
 )
-from fastsketch.sketch import SketchOperator, apply, build_sketch, columns, densify_sketch
+from fastsketch.sketch import (
+    SketchOperator,
+    apply,
+    apply_adjoint,
+    build_sketch,
+    columns,
+    densify_sketch,
+)
 
 
 def plant_signal(rng, d, k):
@@ -264,6 +271,13 @@ def test_cosamp_singular_system_stops_with_reason(monkeypatch):
 
 
 KINDS = ["fourier", "hadamard", "circulant", "gaussian"]
+#: The dtype a real problem on each kind solves in (that of ``columns``).
+WORKING_DTYPES = {
+    "fourier": np.complex128,
+    "hadamard": np.float64,
+    "circulant": np.float64,
+    "gaussian": np.float64,
+}
 
 
 def measured_instance(kind, noise_sd, seed):
@@ -308,7 +322,7 @@ def test_work_columns_reads_only_what_it_does_not_hold(kind):
     # in another block may differ in the last bit, because the bucket sum
     # is a BLAS product whose rounding depends on the block's width.
     op = build_sketch(256, 64, 4, kind, seed=73)
-    work = recovery._Work(op)
+    work = recovery._Work(op, WORKING_DTYPES[kind])
     supports = [[3, 9, 40], [3, 9, 40], [1, 9, 40, 200], [1, 2, 200, 255], [], [7], [0, 7, 255]]
     held, read = {}, 0
     for s in supports:
@@ -318,23 +332,194 @@ def test_work_columns_reads_only_what_it_does_not_hold(kind):
         held = {i: held[i] if i in held else fresh[i] for i in s.tolist()}
         read += missing.size
         block = work.columns(s)
-        expected = np.array([held[i] for i in s.tolist()], dtype=np.complex128)
+        assert block.dtype == WORKING_DTYPES[kind]
+        expected = np.array([held[i] for i in s.tolist()], dtype=block.dtype)
         np.testing.assert_array_equal(block, expected.reshape(s.size, op.m).T)
         np.testing.assert_allclose(block, columns(op, s), rtol=0, atol=1e-15)
         assert work.columns_extracted == read
     assert read < sum(len(s) for s in supports)
 
 
-@pytest.mark.parametrize("kind", ["hadamard", "circulant", "gaussian"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_work_returns_the_held_block_itself(kind):
+    op = build_sketch(256, 64, 4, kind, seed=73)
+    work = recovery._Work(op, WORKING_DTYPES[kind])
+    support = np.array([3, 9, 40], dtype=np.intp)
+    block = work.columns(support)
+    assert work.columns_extracted == 3
+    assert work.columns(support.copy()) is block
+    assert work.columns_extracted == 3
+    assert not block.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0] = 1.0
+    # a different support gets a new block, itself read-only
+    other = work.columns(np.array([3, 9], dtype=np.intp))
+    assert other is not block and not other.flags.writeable
+    assert work.columns_extracted == 3
+
+
+# ---------------------------------------------------------------------------
+# the sparse loop against the dense loop it replaced
+
+
+def dense_reference_solve(solver, op, y, k, max_iters, tol):
+    """Both solvers as one dense complex128 loop: a d-length iterate,
+    ``hard_threshold`` over all d entries, complex adjoints and a complex
+    held column block, whatever the kind.  Returns what the sparse loop
+    reports."""
+    y = np.asarray(y, dtype=np.complex128)
+    d, m = op.d, op.m
+    count = {"adjoint_calls": 0, "columns_extracted": 0}
+    held = [np.empty(0, dtype=np.intp), np.empty((m, 0), dtype=np.complex128)]
+
+    def adjoint(r):
+        count["adjoint_calls"] += 1
+        return apply_adjoint(op, r)
+
+    def cols_of(support):
+        have = np.isin(support, held[0], assume_unique=True)
+        cols = np.empty((m, support.size), dtype=np.complex128)
+        cols[:, have] = held[1][:, np.searchsorted(held[0], support[have])]
+        if not have.all():
+            count["columns_extracted"] += int((~have).sum())
+            cols[:, ~have] = columns(op, support[~have])
+        held[:] = [support, cols]
+        return cols
+
+    def iht_update(x, r):
+        g = adjoint(r)
+        support = np.flatnonzero(x) if x.any() else np.sort(_top_k_indices(g, k))
+        g_s = g[support]
+        phi_g_s = cols_of(support) @ g_s
+        curvature = float(np.vdot(phi_g_s, phi_g_s).real)
+        mu = float(np.vdot(g_s, g_s).real) / curvature if curvature > 0 else 1.0
+        new = hard_threshold(x + mu * g, k)
+        return new.to_dense(), cols_of(new.support) @ new.values
+
+    halt_norm = tol * float(np.linalg.norm(y))
+    last = [None]
+
+    def cosamp_update(x, r):
+        if x.any() and np.linalg.norm(r) <= halt_norm:
+            return last[0]
+        proxy = adjoint(r)
+        proxy_support = _top_k_indices(proxy, 2 * k)
+        proxy_support = proxy_support[proxy[proxy_support] != 0]
+        merged = np.union1d(proxy_support, np.flatnonzero(x != 0)).astype(np.intp)
+        if merged.size == 0:
+            return np.zeros_like(x), np.zeros(m, dtype=np.complex128)
+        cols = cols_of(merged)
+        cols_h = np.conj(cols.T)
+        gram = cols_h @ cols + 1e-12 * np.eye(merged.size)
+        coef = np.linalg.solve(gram, cols_h @ y)
+        dense = np.zeros(d, dtype=np.complex128)
+        dense[merged] = coef
+        estimate = hard_threshold(dense, k)
+        kept = np.searchsorted(merged, estimate.support)
+        last[0] = (estimate.to_dense(), cols[:, kept] @ coef[kept])
+        return last[0]
+
+    update = iht_update if solver is iht else cosamp_update
+    x = np.zeros(d, dtype=np.complex128)
+    phi_x = np.zeros(m, dtype=np.complex128)
+    residual_norms, stop_reason = [], "max_iters"
+    for _ in range(max_iters):
+        r = y - phi_x
+        residual_norms.append(float(np.linalg.norm(r)))
+        new, new_phi_x = update(x, r)
+        denom, diff = np.linalg.norm(new), np.linalg.norm(new - x)
+        change = (0.0 if diff == 0.0 else np.inf) if denom == 0.0 else diff / denom
+        x, phi_x = new, new_phi_x
+        if change <= tol:
+            stop_reason = "converged"
+            break
+    estimate = hard_threshold(x, k)
+    return {
+        "support": estimate.support,
+        "values": estimate.values,
+        "iterations_used": len(residual_norms),
+        "stop_reason": stop_reason,
+        "residual_norms": residual_norms,
+        **count,
+    }
+
+
+@pytest.mark.parametrize("noise_sd", [0.0, 0.01], ids=["clean", "noisy"])
+@pytest.mark.parametrize("signal", ["real", "complex"])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("solver", [iht, cosamp])
-def test_real_column_blocks_leave_solves_unchanged(solver, kind, monkeypatch):
-    # The held block is complex128 whatever ``columns`` returns, and a
-    # float64 block casts to the same values, so a solve is identical to
-    # one whose ``columns`` returns complex128 itself.
-    op, _, y = measured_instance(kind, 0.01, seed=83)
-    real = solver(op, y, 5)
-    monkeypatch.setattr(recovery, "columns", lambda o, s: columns(o, s).astype(np.complex128))
-    assert solver(op, y, 5).to_json_dict() == real.to_json_dict()
+def test_sparse_loop_matches_the_dense_loop(solver, kind, signal, noise_sd):
+    # The sparse loop solves real problems in float64 and forms its
+    # relative change over the two supports only; neither may change what
+    # a solve finds or the work it does.
+    rng = np.random.default_rng(89)
+    op = build_sketch(256, 64, 4, kind, seed=97)
+    x = plant_signal(rng, 256, 5)
+    if signal == "complex":
+        x[x != 0] += 1j * rng.standard_normal(5)
+    else:
+        x = x.real  # a complex128 x would give a circulant y round-off imaginary parts
+    y = apply(op, x) + noise_sd * rng.standard_normal(64)
+    max_iters = 300 if solver is iht else 50
+    got = solver(op, y, 5, max_iters=max_iters)
+    want = dense_reference_solve(solver, op, y, 5, max_iters, 1e-10)
+    np.testing.assert_array_equal(got.estimate.support, want["support"])
+    np.testing.assert_allclose(got.estimate.values, want["values"], rtol=1e-12, atol=0)
+    assert got.iterations_used == want["iterations_used"]
+    assert got.stop_reason == want["stop_reason"]
+    assert got.adjoint_calls == want["adjoint_calls"]
+    assert got.columns_extracted == want["columns_extracted"]
+    np.testing.assert_allclose(
+        got.residual_norms, want["residual_norms"], rtol=1e-12, atol=1e-12 * np.linalg.norm(y)
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("solver", [iht, cosamp])
+def test_solvers_make_no_dense_round_trip(solver, kind, monkeypatch):
+    op, x, y = measured_instance(kind, 0.0, seed=67)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{solver.__name__} formed a dense d-vector")
+
+    monkeypatch.setattr(recovery, "hard_threshold", forbidden)
+    monkeypatch.setattr(recovery.SparseSignal, "to_dense", forbidden)
+    res = solver(op, y, 5)
+    support = np.flatnonzero(x)
+    np.testing.assert_array_equal(res.estimate.support, support)
+    np.testing.assert_allclose(res.estimate.values, x[support], rtol=1e-9)
+
+
+@pytest.mark.parametrize("signal", ["real", "complex"])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("solver", [iht, cosamp])
+def test_working_dtype(solver, kind, signal, monkeypatch):
+    # Real problems (a real Phi and measurements with no imaginary part)
+    # solve in float64, adjoints and column blocks included; the rest in
+    # complex128.
+    op, x, _ = measured_instance(kind, 0.0, seed=101)
+    x = x.real if signal == "real" else 1j * x.real
+    y = apply(op, x)
+    expected = np.float64 if kind != "fourier" and signal == "real" else np.complex128
+    dtypes = set()
+    adjoint, block = recovery.apply_adjoint, recovery._Work.columns
+
+    def logged_adjoint(o, r):
+        out = adjoint(o, r)
+        dtypes.update({r.dtype, out.dtype})
+        return out
+
+    def logged_block(self, support):
+        out = block(self, support)
+        dtypes.add(out.dtype)
+        return out
+
+    monkeypatch.setattr(recovery, "apply_adjoint", logged_adjoint)
+    monkeypatch.setattr(recovery._Work, "columns", logged_block)
+    res = solver(op, y, 5)
+    assert dtypes == {np.dtype(expected)}
+    assert res.estimate.values.dtype == np.complex128
+    assert np.linalg.norm(res.estimate.to_dense() - x) <= 1e-9 * np.linalg.norm(x)
 
 
 def test_iht_reads_only_the_columns_its_supports_gain():

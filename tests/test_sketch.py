@@ -136,6 +136,45 @@ def test_adjoint_identity(kind):
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2, 5)], ids=["1-D", "3xm", "2x5xm"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_adjoint_dtype_contract(kind, shape):
+    # Real input stays real on a real Phi and returns float64; a Fourier
+    # source or complex input returns complex128.  The real result is the
+    # real part of the complex path.
+    op = build_sketch(64, 4, 8, kind, seed=43)
+    z = np.random.default_rng(11).standard_normal(shape + (op.m,))
+    real = apply_adjoint(op, z)
+    assert real.shape == shape + (op.d,)
+    assert real.dtype == COLUMN_DTYPES[kind]
+    via_complex = apply_adjoint(op, z.astype(np.complex128))
+    assert via_complex.dtype == np.complex128
+    if kind != "fourier":
+        np.testing.assert_allclose(real, via_complex.real, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(real, via_complex, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(real, z @ densify_sketch(op).conj(), rtol=0, atol=1e-10)
+    assert apply_adjoint(op, z + 1j * z).dtype == np.complex128
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_non_finite_values_propagate(kind):
+    # apply and apply_adjoint do not check for non-finite values: a NaN
+    # or an inf entry reaches the output instead of raising (an inf may
+    # meet -inf in a sum and become NaN).
+    op = build_sketch(64, 4, 8, kind, seed=47)
+    for bad in (np.nan, np.inf):
+        x = np.ones(64)
+        x[5] = bad
+        z = np.ones(op.m)
+        z[1] = bad
+        with np.errstate(invalid="ignore"):
+            forward, backward = apply(op, x), apply_adjoint(op, z)
+        assert not np.isfinite(forward).all()
+        assert not np.isfinite(backward).all()
+        if np.isnan(bad):
+            assert np.isnan(forward).any() and np.isnan(backward).any()
+
+
 def test_single_bucket_is_classical_subsampling():
     # B = 1: each output coordinate is one signed sampled row
     op = build_sketch(32, 6, 1, "fourier", seed=43)
