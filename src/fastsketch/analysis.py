@@ -3,13 +3,13 @@
 The restricted-isometry constant of an m x d matrix at sparsity k is the
 largest deviation of a squared singular value of any m x k column
 submatrix from 1.  Exact measurement enumerates all C(d, k) supports and
-is capped; the Monte-Carlo variant samples supports and returns a
-certified lower bound.  Both take the maximum over their supports
-exactly, by bound and skip: a cheap upper bound on every support's
-deviation is formed first, and only the supports whose bound can reach
-the running maximum are eigensolved.  The skipped ones provably cannot
-change it, so the reported constant is the one a full eigensolve of every
-support gives, bit for bit.
+is capped, and for k >= 2 reads every support's Gram from one Phi* Phi;
+the Monte-Carlo variant samples supports and returns a certified lower
+bound.  Both take the maximum over their supports exactly, by bound and
+skip: a cheap upper bound on every support's deviation is formed first,
+and only the supports whose bound can reach the running maximum are
+eigensolved.  The skipped ones provably cannot change it, so the reported
+constant is the one a full eigensolve of every support gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -73,13 +73,10 @@ class RipReport:
         return asdict(self)
 
 
-def _support_chunks(d: int, k: int, chunk: int = _CHUNK):
-    combos = itertools.combinations(range(d), k)
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            return
-        yield np.asarray(block, dtype=np.intp)
+def _gram(a: np.ndarray) -> np.ndarray:
+    """a* a over the last two axes, in a's dtype; ``_max_deviation`` reports overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a.conj().swapaxes(-1, -2) @ a
 
 
 def _eig_deviations(grams: np.ndarray) -> np.ndarray:
@@ -88,15 +85,15 @@ def _eig_deviations(grams: np.ndarray) -> np.ndarray:
     return np.maximum(eig[:, -1] - 1.0, 1.0 - eig[:, 0])
 
 
-def _gram_deviation(submatrices: np.ndarray, best: float = 0.0) -> tuple[float, int]:
-    """Largest |eigenvalue - 1| over a batch of Gram matrices and ``best``.
+def _max_deviation(grams: np.ndarray, best: float = 0.0) -> tuple[float, int]:
+    """Largest |eigenvalue - 1| over a stack of Gram matrices and ``best``.
 
-    ``submatrices`` has shape (batch, m, k), float64 or complex128; eigenvalues
-    of G = S* S are the squared singular values of S.  A real batch is
-    solved in real arithmetic throughout (G = S^T S and a real symmetric
-    eigensolve), a complex one in complex arithmetic.  Returns that maximum
-    and the number of Grams that were eigensolved.  Raises ``ValueError``
-    when a finite batch has a Gram that overflows float64.
+    ``grams`` has shape (n, k, k), float64 or complex128, and is solved in
+    its own arithmetic; as in ``eigvalsh``, only its lower triangle and the
+    real part of its diagonal are read.  Returns that maximum and the
+    number of Grams that were eigensolved.  A Gram with an infinite entry
+    raises ``ValueError``: for finite columns it has overflowed float64
+    (its diagonal, a sum of squares, overflows first).
 
     Only Grams that can reach the maximum are eigensolved.  With
     D = G - I and eigenvalues mu_i of D, the bound
@@ -105,15 +102,12 @@ def _gram_deviation(submatrices: np.ndarray, best: float = 0.0) -> tuple[float, 
     then only the Grams whose bound exceeds the running best, less the
     rounding margin below.  Every solved Gram is passed to ``eigvalsh``
     as it is, so the maximum is bit-identical to solving all of them.  A
-    NaN bound is never skipped.
+    NaN bound is never skipped, so a NaN Gram gives a NaN maximum.
     """
+    k = grams.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = submatrices.conj().swapaxes(-1, -2) @ submatrices
-        k = gram.shape[-1]
-        # D = H - I for the Hermitian H that eigvalsh reads: the lower
-        # triangle of the Gram and, for a complex Gram, the real part of its
-        # diagonal.
-        dev = gram - np.eye(k)
+        # D = H - I for the Hermitian H that eigvalsh reads.
+        dev = grams - np.eye(k)
         rows, cols = np.nonzero(np.arange(k)[:, None] < np.arange(k))  # strict upper triangle
         dev[:, rows, cols] = dev[:, cols, rows].conj()
         if np.iscomplexobj(dev):
@@ -124,10 +118,9 @@ def _gram_deviation(submatrices: np.ndarray, best: float = 0.0) -> tuple[float, 
     top = int(np.argmax(bound))  # the first NaN, if there is one
     # A finite bound at the top means every Gram is finite.  An infinite
     # one may come from D^2 alone, which eigvalsh does not form.
-    overflow = not np.isfinite(bound[top]) and not np.isfinite(gram).all()
-    if overflow and np.isfinite(submatrices).all():
+    if not np.isfinite(bound[top]) and np.isinf(grams).any():
         raise ValueError("a Gram matrix of the finite input overflows float64")
-    best = np.maximum(best, _eig_deviations(gram[top : top + 1])[0])
+    best = np.maximum(best, _eig_deviations(grams[top : top + 1])[0])
     # Rounding margin.  Let u = 2^-53, delta = max |mu_i| the exact
     # deviation of H, delta' the deviation eigvalsh returns and b' the
     # computed bound.  A Gram is skipped when b' <= thr, and thr <= best.
@@ -154,7 +147,7 @@ def _gram_deviation(submatrices: np.ndarray, best: float = 0.0) -> tuple[float, 
     rest[top] = False
     solved = 1 + int(np.count_nonzero(rest))
     if solved > 1:
-        best = np.maximum(best, _eig_deviations(gram[rest]).max())
+        best = np.maximum(best, _eig_deviations(grams[rest]).max())
     return float(best), solved
 
 
@@ -162,10 +155,11 @@ def exact_rip_constant(mat: np.ndarray, k: int, *, cap: int = SUPPORT_CAP) -> Ri
     """Exhaustive isometry constant of an explicit matrix at sparsity k.
 
     Every one of the C(d, k) supports is bounded, and the maximum is taken
-    exactly over the ones that can reach it (see ``_gram_deviation``), so
-    ``epsilon`` equals the largest deviation of all supports.  A real
-    matrix is measured in float64 arithmetic and a complex one in
-    complex128; a finite matrix whose Gram overflows raises ``ValueError``.
+    exactly over the ones that can reach it (see ``_max_deviation``), so
+    ``epsilon`` equals the largest deviation of all supports.  For k >= 2
+    every support's Gram is gathered from one G = Phi* Phi.  A real matrix
+    is measured in float64 arithmetic and a complex one in complex128; a
+    finite matrix whose Gram overflows raises ``ValueError``.
     """
     start = time.perf_counter()
     mat = np.asarray(mat)
@@ -185,10 +179,16 @@ def exact_rip_constant(mat: np.ndarray, k: int, *, cap: int = SUPPORT_CAP) -> Ri
             f"C({d}, {k}) = {total} supports exceed the cap of {cap}; "
             "use mc_rip_lower_bound instead"
         )
+    # G has d^2 <= 4 C(d, k) <= 4 cap entries for 2 <= k <= d - 2, and about
+    # as many as the matrix for k >= d - 1 (then d <= m + 1).  At k = 1 the
+    # Grams are the d squared column norms, and no d x d Gram is formed.
+    gram = _gram(mat.T[:, :, None] if k == 1 else mat)
+    combos = itertools.chain.from_iterable(itertools.combinations(range(d), k))
     epsilon, solved = 0.0, 0
-    for supports in _support_chunks(d, k):
-        sub = np.moveaxis(mat[:, supports], 0, 1)  # (n, m, k)
-        epsilon, n = _gram_deviation(sub, epsilon)
+    for n0 in range(0, total, _CHUNK):  # supports in lexicographic order
+        s = np.fromiter(combos, np.intp, min(_CHUNK, total - n0) * k).reshape(-1, k)
+        grams = gram[s[:, 0]] if k == 1 else gram[s[:, :, None], s[:, None, :]]
+        epsilon, n = _max_deviation(grams, epsilon)
         solved += n
     return RipReport(
         k=k,
@@ -226,7 +226,7 @@ def mc_rip_lower_bound(
     drawn supports come from ``columns`` in batches of ``_CHUNK // m``
     trials.  The maximum deviation over the drawn supports is taken
     exactly, by eigensolving only the supports whose bound can reach it
-    (see ``_gram_deviation``); it is a lower bound on the exhaustive
+    (see ``_max_deviation``); it is a lower bound on the exhaustive
     constant.
 
     A batch of n supports is drawn at once by a vectorized Floyd's
@@ -251,7 +251,7 @@ def mc_rip_lower_bound(
     batch = max(1, _CHUNK // op.m)
     for b0 in range(0, trials, batch):
         supports = _draw_supports(gen, op.d, k, min(batch, trials - b0))
-        epsilon, n = _gram_deviation(columns(op, supports), epsilon)
+        epsilon, n = _max_deviation(_gram(columns(op, supports)), epsilon)
         solved += n
     return RipReport(
         k=k,

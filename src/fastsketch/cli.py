@@ -37,6 +37,7 @@ import numpy as np
 
 import fastsketch
 from fastsketch.analysis import (
+    SUPPORT_CAP,
     exact_rip_constant,
     mc_rip_lower_bound,
     recommend_parameters,
@@ -81,7 +82,7 @@ _DEFAULTS: dict[str, dict] = {
     "plan": {"kind": "fourier", "epsilon": 0.5},
     "build": {"kind": "fourier"},
     "apply": {"kind": "fourier"},
-    "rip": {"kind": "fourier", "method": "exact", "trials": 100, "cap": 10**6},
+    "rip": {"kind": "fourier", "method": "exact", "trials": 100, "cap": SUPPORT_CAP},
     "jl": {"kind": "fourier", "n": 50, "trials": 1},
     "recover": {
         "kind": "fourier",

@@ -206,7 +206,8 @@ def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
     elif src.kind == "dense_gaussian":
         y = _real_matmul(x, src.matrix.T)
     elif np.iscomplexobj(x):
-        # Solvers apply one source to many complex iterates: reuse its spectrum.
+        # Complex input reads the cached spectrum, which pays off in batched
+        # complex ``apply``, such as ``jl_embed`` on complex points.
         y = dft(_eps_spectrum(src) * dft(x), "inverse")[..., : src.M]
     else:
         y = circular_convolve(src.eps, x)[..., : src.M]
@@ -260,22 +261,15 @@ def _column_indices(src: RowSource, cols) -> np.ndarray:
     return cols.astype(np.intp, copy=False)
 
 
-def _source_blocks(src: RowSource, cols: np.ndarray, rows: int):
-    """Yield A[r0 : r0 + rows, cols] for r0 = 0, rows, 2 rows, ... < M.
+def _source_block(src: RowSource, cols: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """A[r0:r1, cols], of shape (r1 - r0,) + cols.shape.
 
-    Each block has shape (rows,) + cols.shape (the last may be shorter)
-    and comes from the closed form of each entry, with no transform:
+    The block comes from the closed form of each entry, with no transform:
     float64 (+-1, or the Gaussian entries) for Hadamard, circulant and
     Gaussian sources, complex128 roots of unity for Fourier sources.
     ``cols`` must already be validated intp column indices.  No index
-    temporary outlives its block's construction.
+    temporary outlives the block's construction.
     """
-    for r0 in range(0, src.M, rows):
-        yield _source_block(src, cols, r0, min(src.M, r0 + rows))
-
-
-def _source_block(src: RowSource, cols: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """A[r0:r1, cols] from the closed form of each entry (see ``_source_blocks``)."""
     mask = src.d - 1  # d is a power of two, so "& mask" is "mod d"
     if src.kind == "partial_fourier":
         # Reducing the phase in integers keeps every entry accurate to
@@ -306,5 +300,4 @@ def densify(src: RowSource, *, cap: int = DENSIFY_CAP) -> np.ndarray:
             f"densify would materialize {src.M}x{src.d} = {src.M * src.d} entries, "
             f"exceeding the cap of {cap}"
         )
-    block = next(_source_blocks(src, np.arange(src.d), src.M))
-    return block.astype(np.complex128, copy=False)
+    return _source_block(src, np.arange(src.d), 0, src.M).astype(np.complex128, copy=False)

@@ -20,7 +20,7 @@ import numpy as np
 from fastsketch.ensembles import (
     DENSIFY_CAP,
     _column_indices,
-    _source_blocks,
+    _source_block,
     RowSource,
     apply_rows,
     apply_rows_adjoint,
@@ -160,12 +160,11 @@ def columns(op: SketchOperator, support: np.ndarray) -> np.ndarray:
     if fourier:
         sums = sums.view(np.float64)
     buckets = max(1, _BLOCK_ENTRIES // max(1, op.B * sums.shape[1]))
-    blocks = _source_blocks(op.source, support, buckets * op.B)
     for b0 in range(0, op.m, buckets):
-        block = next(blocks)
+        b1 = min(op.m, b0 + buckets)
+        block = _source_block(op.source, support, b0 * op.B, b1 * op.B)
         if fourier:
             block = block.view(np.float64)
-        b1 = b0 + block.shape[0] // op.B
         sums[b0:b1] = (op.signs[b0:b1, None, :] @ block.reshape(b1 - b0, op.B, -1))[:, 0]
         del block  # so the next block is not built while this one is held
     out *= op.scale

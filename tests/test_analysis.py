@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ import fastsketch.analysis as analysis
 from fastsketch.analysis import (
     _CHUNK,
     _draw_supports,
-    _gram_deviation,
-    _support_chunks,
+    _gram,
+    _max_deviation,
     complexify_matrix,
     complexify_vector,
     exact_rip_constant,
@@ -55,11 +56,26 @@ class TestExactRip:
         rep = exact_rip_constant(np.array([[1.0, 0.0], [0.0, 0.0]]), 1)
         assert rep.epsilon == pytest.approx(1.0, abs=1e-12)
 
-    def test_matches_independent_svd_oracle(self):
-        op = build_sketch(16, 8, 2, "fourier", seed=101)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["fourier", "hadamard", "circulant", "gaussian"])
+    def test_matches_independent_svd_oracle(self, kind, k):
+        op = build_sketch(16, 8, 2, kind, seed=101)
         mat = densify_sketch(op)
-        rep = exact_rip_constant(mat, 2)
-        assert abs(rep.epsilon - brute_force_rip(mat, 2)) <= 1e-8
+        rep = exact_rip_constant(mat, k)
+        assert abs(rep.epsilon - brute_force_rip(mat, k)) <= 1e-8
+
+    def test_single_column_supports_form_no_full_gram(self):
+        # At k = 1 the Grams are the column norms: a d x d Gram here would
+        # be 128 MB, against 256 kB for the matrix.
+        mat = np.random.default_rng(103).standard_normal((8, 4096)) / np.sqrt(8)
+        tracemalloc.start()
+        try:
+            rep = exact_rip_constant(mat, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.supports_evaluated == 4096
+        assert peak <= 2 * mat.nbytes, peak / mat.nbytes
 
     def test_cap_redirects_to_monte_carlo(self):
         with pytest.raises(ValueError, match="mc_rip_lower_bound"):
@@ -165,11 +181,14 @@ RIP_SIZES = ((256, 4, 16), (1024, 8, 32))
 def full_eigvalsh_deviation(submatrices):
     """Reference: every Gram of the batch through one ``eigvalsh`` call.
 
-    The Gram is formed as ``_gram_deviation`` forms it: a real S^T S may
+    The Gram is formed as ``mc_rip_lower_bound`` forms it: a real S^T S may
     round differently when S^T is a copy rather than a view of S.
     """
-    gram = submatrices.conj().swapaxes(-1, -2) @ submatrices
-    eig = np.linalg.eigvalsh(gram)
+    return full_eigvalsh_grams(submatrices.conj().swapaxes(-1, -2) @ submatrices)
+
+
+def full_eigvalsh_grams(grams):
+    eig = np.linalg.eigvalsh(grams)
     return max(float(eig[:, -1].max()) - 1.0, 1.0 - float(eig[:, 0].min()))
 
 
@@ -184,13 +203,17 @@ def mc_reference(op, k, trials, seed):
 
 
 def exact_reference(mat, k):
+    """Every support's Gram, gathered from one Phi* Phi as ``exact_rip_constant``
+    gathers it (at k = 1, the d squared column norms), through one ``eigvalsh``."""
     # the dtype exact_rip_constant solves in: float64 for real input
     mat = np.asarray(mat)
-    mat = mat.astype(np.complex128 if np.iscomplexobj(mat) else np.float64)
-    epsilon = 0.0
-    for supports in _support_chunks(mat.shape[1], k):
-        epsilon = max(epsilon, full_eigvalsh_deviation(np.moveaxis(mat[:, supports], 0, 1)))
-    return epsilon
+    mat = mat.astype(np.complex128 if np.iscomplexobj(mat) else np.float64, copy=False)
+    if k == 1:
+        cols = mat.T[:, :, None]
+        return full_eigvalsh_grams(cols.conj().swapaxes(-1, -2) @ cols)
+    gram = mat.conj().T @ mat
+    supports = np.array(list(itertools.combinations(range(mat.shape[1]), k)))
+    return full_eigvalsh_grams(gram[supports[:, :, None], supports[:, None, :]])
 
 
 class TestBoundAndSkip:
@@ -229,7 +252,7 @@ class TestBoundAndSkip:
         op = build_sketch(256, 16, 4, "circulant", seed=49)
         sub = columns(op, _draw_supports(np.random.default_rng(51), 256, 4, 5))
         tied = np.concatenate([sub, sub[::-1], sub])
-        assert _gram_deviation(tied)[0] == full_eigvalsh_deviation(tied)
+        assert _max_deviation(_gram(tied))[0] == full_eigvalsh_deviation(tied)
         # C(8, 2) = 28 supports, so 300 draws repeat each about ten times
         small = build_sketch(8, 4, 2, "fourier", seed=53)
         assert mc_rip_lower_bound(small, 2, 300, rng=55).epsilon == mc_reference(small, 2, 300, 55)
@@ -242,7 +265,7 @@ class TestBoundAndSkip:
         one = [full_eigvalsh_deviation(subs[i : i + 1]) for i in (0, 1)]
         assert 0.0 < abs(one[0] - one[1]) < 1e-14
         for batch in (subs, subs[::-1]):
-            assert _gram_deviation(batch)[0] == max(one)
+            assert _max_deviation(_gram(batch))[0] == max(one)
 
     def test_rounding_margin_covers_a_cluster_of_ties(self):
         # G = I + mu v v^H: every deviation is mu = 0.5 up to rounding, and
@@ -256,7 +279,7 @@ class TestBoundAndSkip:
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         root = np.eye(k) + (np.sqrt(1.5) - 1.0) * v[:, :, None] * np.conj(v[:, None, :])
         subs = u @ root
-        epsilon, solved = _gram_deviation(subs)
+        epsilon, solved = _max_deviation(_gram(subs))
         assert epsilon == full_eigvalsh_deviation(subs)
         assert solved == n
 
@@ -293,7 +316,7 @@ class TestBoundAndSkip:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         try:
-            epsilon, _ = _gram_deviation(sub)
+            epsilon, _ = _max_deviation(_gram(sub))
         except np.linalg.LinAlgError:  # LAPACK may refuse the NaN Gram
             pass
         else:
@@ -344,7 +367,7 @@ class TestRealArithmetic:
         with pytest.raises(ValueError, match="overflow"):
             exact_rip_constant(mat.astype(dtype), 2)
         with pytest.raises(ValueError, match="overflow"):
-            _gram_deviation(mat.astype(dtype)[None, :, :2])
+            _max_deviation(_gram(mat.astype(dtype)[None, :, :2]))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_finite_gram_with_overflowing_bound_is_solved(self, dtype):
