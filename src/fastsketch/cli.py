@@ -153,24 +153,25 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header: list[str], rows: list[list], meta: dict) -> None:
-    lines = [f"# {key}={value}" for key, value in meta.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+#: ``--csv`` columns per command, read from each row of the command's
+#: ``results["trials"]`` (``trial`` is the row's index) or ``results["records"]``.
+_CSV_COLUMNS = {
+    "jl": ("trial", "epsilon_hat", "max_expansion", "min_contraction", "pairs_evaluated"),
+    "recover": ("trial", "relative_error", "iterations_used", "residual_norm", "converged",
+                "stop_reason", "adjoint_calls", "columns_extracted", "success"),
+    "bench": ("kind", "d", "m", "B", "trials", "median_apply_seconds", "median_adjoint_seconds",
+              "apply_doubling_ratio"),
+}
+
+
+def _write_csv(path, header: dict, results: dict) -> None:
+    """Write the report header as ``#`` lines (the config compact), then the command's rows."""
+    meta = dict(header, config=json.dumps(_jsonsafe(header["config"]), sort_keys=True, separators=(",", ":")))
+    columns = _CSV_COLUMNS[header["command"]]
+    lines = [f"# {key}={value}" for key, value in meta.items()] + [",".join(columns)]
+    for t, row in enumerate(results.get("trials", results.get("records"))):
+        lines.append(",".join(_format_cell(t if c == "trial" else row[c]) for c in columns))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _csv_meta(command: str, config: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "library_version": fastsketch.__version__,
-        "numpy_version": np.__version__,
-        "blas_threads": _blas_threads(),
-        "command": command,
-        "master_seed": config.get("seed"),
-        "config": json.dumps(_jsonsafe(config), sort_keys=True, separators=(",", ":")),
-    }
 
 
 def _resolve_threads(explicit: int | None) -> int:
@@ -340,8 +341,8 @@ def _require(config: dict, command: str, *keys: str) -> None:
         raise UsageError(f"'{command}' needs {', '.join('--' + k.replace('_', '-') for k in missing)}")
 
 
-def _operator_seed(config: dict, trial: int = 0, tag: str = "operator") -> int:
-    return derive_seed(config["seed"], trial, tag)
+def _operator_seed(config: dict, trial: int = 0) -> int:
+    return derive_seed(config["seed"], trial, "operator")
 
 
 def _build_from_config(config: dict, trial: int = 0):
@@ -438,17 +439,12 @@ def _run_jl(config: dict) -> dict:
 
     reports = _map_trials(one_trial, config["trials"], threads)
     eps = [r["epsilon_hat"] for r in reports]
-    results = {
+    return {
         "n_points": int(points.shape[0]),
         "trials": reports,
         "median_epsilon_hat": float(np.median(eps)),
         "max_epsilon_hat": float(np.max(eps)),
     }
-    if config.get("csv"):
-        header = ["trial", "epsilon_hat", "max_expansion", "min_contraction", "pairs_evaluated"]
-        rows = [[t] + [r[h] for h in header[1:]] for t, r in enumerate(reports)]
-        _write_csv(config["csv"], header, rows, _csv_meta("jl", _public_config(config)))
-    return results
 
 
 def _run_recover(config: dict) -> dict:
@@ -488,44 +484,25 @@ def _run_recover(config: dict) -> dict:
         err, ratio = l2l1_metrics(x, result.estimate, k)
         norm_x = float(np.linalg.norm(x))
         rel = err / norm_x if norm_x > 0 else 0.0
+        solve = result.to_json_dict()
+        del solve["residual_norms"]
         return {
             "trial": t,
             "relative_error": rel,
             "l2_error": err,
             # An at most k-sparse signal has no best-k tail to scale by.
             "head_tail_ratio": ratio if np.count_nonzero(x) > k else None,
-            "iterations_used": result.iterations_used,
-            "residual_norm": result.residual_norm,
-            "converged": result.converged,
-            "stop_reason": result.stop_reason,
-            "adjoint_calls": result.adjoint_calls,
-            "columns_extracted": result.columns_extracted,
             "success": bool(rel <= config["success_tol"]),
-            "estimate": result.estimate.to_json_dict(),
+            **solve,
         }
 
     trials = _map_trials(one_trial, config["trials"], threads)
-    results = {
+    return {
         "solver": config["solver"],
         "trials": trials,
         "success_rate": float(np.mean([t["success"] for t in trials])),
         "median_relative_error": float(np.median([t["relative_error"] for t in trials])),
     }
-    if config.get("csv"):
-        header = [
-            "trial",
-            "relative_error",
-            "iterations_used",
-            "residual_norm",
-            "converged",
-            "stop_reason",
-            "adjoint_calls",
-            "columns_extracted",
-            "success",
-        ]
-        rows = [[t[h] for h in header] for t in trials]
-        _write_csv(config["csv"], header, rows, _csv_meta("recover", _public_config(config)))
-    return results
 
 
 def _run_bench(config: dict) -> dict:
@@ -569,19 +546,6 @@ def _run_bench(config: dict) -> dict:
             }
             prev_median = median_apply
             records.append(record)
-    if config.get("csv"):
-        header = [
-            "kind",
-            "d",
-            "m",
-            "B",
-            "trials",
-            "median_apply_seconds",
-            "median_adjoint_seconds",
-            "apply_doubling_ratio",
-        ]
-        rows = [[r[h] for h in header] for r in records]
-        _write_csv(config["csv"], header, rows, _csv_meta("bench", _public_config(config)))
     return {"records": records}
 
 
@@ -625,10 +589,11 @@ def _public_config(config: dict) -> dict:
 
 
 def run(config: dict) -> dict:
-    """Execute a resolved configuration and return the full report dict.
+    """Execute a configuration and return the report: its header, ``results`` and ``timings``.
 
-    Writes any CSV/point-set artifacts named in the config; the caller is
-    responsible for writing the returned JSON report.
+    ``--trials`` below 1 is a usage error.  ``--csv`` (``jl``, ``recover``,
+    ``bench``) gets the same header as ``#`` lines, then the command's
+    trials or records; the caller writes the returned JSON report.
     """
     command = config.get("command")
     if command not in _COMMANDS:
@@ -636,12 +601,14 @@ def run(config: dict) -> dict:
     config = dict(config)
     for key, value in _DEFAULTS[command].items():
         config.setdefault(key, value)
+    if config.get("trials") is not None and config["trials"] < 1:
+        raise UsageError(f"--trials must be at least 1, got {config['trials']}")
     _resolve_seed(config, command)
     config["_threads"] = _resolve_threads(config.get("threads"))
     start = time.perf_counter()
     results = _COMMANDS[command](config)
     elapsed = time.perf_counter() - start
-    return {
+    header = {
         "schema_version": SCHEMA_VERSION,
         "library_version": fastsketch.__version__,
         "numpy_version": np.__version__,
@@ -649,9 +616,10 @@ def run(config: dict) -> dict:
         "command": command,
         "master_seed": config.get("seed"),
         "config": _public_config(config),
-        "results": results,
-        "timings": {"total_seconds": elapsed},
     }
+    if command in _CSV_COLUMNS and config.get("csv"):
+        _write_csv(config["csv"], header, results)
+    return {**header, "results": results, "timings": {"total_seconds": elapsed}}
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,7 @@ class RowSource:
     Exactly one payload field is populated, depending on ``kind``:
     ``indices`` (0-based row indices, shape (M,)) for the bounded
     orthogonal kinds, ``eps`` (+-1 vector, shape (d,)) for the circulant
-    kind, ``matrix`` (shape (M, d)) for the Gaussian baseline.  ``seed``
-    records provenance when the source was sampled from an integer seed.
+    kind, ``matrix`` (shape (M, d)) for the Gaussian baseline.
     """
 
     kind: str
@@ -76,7 +75,6 @@ class RowSource:
     indices: np.ndarray | None = None
     eps: np.ndarray | None = None
     matrix: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", normalize_kind(self.kind))
@@ -126,26 +124,23 @@ def sample_bounded_orthogonal(
     kind = normalize_kind(kind)
     if kind not in ("partial_fourier", "partial_hadamard"):
         raise ValueError(f"bounded orthogonal kinds are fourier/hadamard, got {kind!r}")
-    seed = rng if isinstance(rng, int) else None
     gen = as_generator(rng)
     indices = gen.integers(0, d, size=M)
-    return RowSource(kind=kind, d=d, M=M, indices=indices, seed=seed)
+    return RowSource(kind=kind, d=d, M=M, indices=indices)
 
 
 def sample_partial_circulant(d: int, M: int, rng: int | np.random.Generator) -> RowSource:
     """Draw eps uniform over {+-1}^d; the row set is fixed to {0, ..., M-1}."""
-    seed = rng if isinstance(rng, int) else None
     gen = as_generator(rng)
     eps = gen.integers(0, 2, size=d).astype(np.float64) * 2.0 - 1.0
-    return RowSource(kind="partial_circulant", d=d, M=M, eps=eps, seed=seed)
+    return RowSource(kind="partial_circulant", d=d, M=M, eps=eps)
 
 
 def sample_dense_gaussian(d: int, M: int, rng: int | np.random.Generator) -> RowSource:
     """Unstructured i.i.d. N(0, 1) baseline used as an experimental control."""
-    seed = rng if isinstance(rng, int) else None
     gen = as_generator(rng)
     matrix = gen.standard_normal((M, d))
-    return RowSource(kind="dense_gaussian", d=d, M=M, matrix=matrix, seed=seed)
+    return RowSource(kind="dense_gaussian", d=d, M=M, matrix=matrix)
 
 
 def _check_last_axis(x: np.ndarray, length: int, what: str) -> np.ndarray:
@@ -205,10 +200,6 @@ def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
         y = fwht(x)[..., src.indices]
     elif src.kind == "dense_gaussian":
         y = _real_matmul(x, src.matrix.T)
-    elif np.iscomplexobj(x):
-        # Complex input reads the cached spectrum, which pays off in batched
-        # complex ``apply``, such as ``jl_embed`` on complex points.
-        y = dft(_eps_spectrum(src) * dft(x), "inverse")[..., : src.M]
     else:
         y = circular_convolve(src.eps, x)[..., : src.M]
     return y.astype(np.complex128, copy=False)

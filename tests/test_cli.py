@@ -423,6 +423,58 @@ def test_bench_csv_structure(tmp_path):
     assert len(lines) == 3
 
 
+def read_csv(path):
+    """(``#`` metadata as a dict, column names, rows of cells) of an experiment CSV."""
+    lines = path.read_text().splitlines()
+    meta = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
+    body = [ln.split(",") for ln in lines if not ln.startswith("#")]
+    return meta, body[0], body[1:]
+
+
+def csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("argv, rows_key", [
+    (["jl", "--d", "64", "--m", "16", "--B", "4", "--kind", "circulant", "--n", "6",
+      "--trials", "3", "--seed", "5"], "trials"),
+    (["recover", "--d", "256", "--k", "4", "--m", "96", "--B", "8", "--kind", "hadamard",
+      "--solver", "cosamp", "--trials", "3", "--noise-sd", "0.01", "--seed", "11"], "trials"),
+    (["bench", "--kind", "fourier,hadamard", "--d", "256..512", "--m", "8", "--B", "2",
+      "--trials", "5", "--seed", "19"], "records"),
+], ids=["jl", "recover", "bench"])
+def test_csv_restates_the_report(tmp_path, argv, rows_key):
+    """The CSV's # lines are the report's header and its rows are the report's rows."""
+    out, csv = tmp_path / "rep.json", tmp_path / "rep.csv"
+    assert main(argv + ["--out", str(out), "--csv", str(csv)]) == EXIT_OK
+    rep = read_json(out)
+    meta, columns, rows = read_csv(csv)
+    keys = ["schema_version", "library_version", "numpy_version", "blas_threads", "command", "master_seed"]
+    want = {k: str(rep[k]) for k in keys}
+    want["config"] = json.dumps(rep["config"], sort_keys=True, separators=(",", ":"))
+    assert meta == want
+    assert list(meta) == keys + ["config"]
+    records = rep["results"][rows_key]
+    assert len(rows) == len(records) > 1
+    for t, (row, record) in enumerate(zip(rows, records)):
+        assert row == [csv_cell(t if c == "trial" else record[c]) for c in columns]
+        assert "trial" not in record or record["trial"] == t
+
+
+@pytest.mark.parametrize("command", [["jl", "--n", "4"], ["recover", "--k", "2"]], ids=["jl", "recover"])
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_trials_below_one_is_usage_error(tmp_path, capsys, command, trials):
+    out = tmp_path / "rep.json"
+    assert main(command + ["--d", "64", "--m", "16", "--B", "4", "--seed", "1",
+                           "--trials", trials, "--out", str(out)]) == EXIT_USAGE
+    assert "--trials" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+
+
 def test_bench_requires_five_trials(capsys):
     code = main(["bench", "--kind", "fourier", "--d", "256", "--m", "4", "--B", "2",
                  "--trials", "3", "--seed", "1"])
