@@ -424,26 +424,47 @@ def _jl_points(config: dict) -> np.ndarray:
 
 
 def _run_jl(config: dict) -> dict:
+    """Embed one point set with ``trials`` fresh operators.
+
+    ``timings`` holds the source phase (points and their distances, once)
+    and each trial's build, embed and metrics phases, summed over trials,
+    plus every trial's wall time.
+    """
     _require(config, "jl", "d", "m", "B")
+    start = time.perf_counter()
     points = _jl_points(config)
     source = _pair_distances(points)
+    source_seconds = time.perf_counter() - start
     threads = config["_threads"]
 
-    def one_trial(t: int) -> dict:
+    def one_trial(t: int) -> tuple[dict, list[float]]:
+        ticks = [time.perf_counter()]
         op = build_sketch(config["d"], config["m"], config["B"], config["kind"], _operator_seed(config, t))
+        ticks.append(time.perf_counter())
         embedded = jl_embed(op, points, derive_seed(config["seed"], t, "jl"))
+        ticks.append(time.perf_counter())
         rep = _ratio_report(source, _pair_distances(embedded))
+        ticks.append(time.perf_counter())
         if t == 0 and config.get("output"):
             write_point_set(config["output"], embedded)
-        return rep.to_json_dict()
+        ticks.append(time.perf_counter())
+        return rep.to_json_dict(), ticks
 
-    reports = _map_trials(one_trial, config["trials"], threads)
+    reports, ticks = zip(*_map_trials(one_trial, config["trials"], threads))
+    phases = np.diff(ticks, axis=1).sum(axis=0)
     eps = [r["epsilon_hat"] for r in reports]
     return {
         "n_points": int(points.shape[0]),
-        "trials": reports,
+        "trials": list(reports),
         "median_epsilon_hat": float(np.median(eps)),
         "max_epsilon_hat": float(np.max(eps)),
+        "timings": {
+            "source_seconds": source_seconds,
+            "build_seconds": float(phases[0]),
+            "embed_seconds": float(phases[1]),
+            "metrics_seconds": float(phases[2]),
+            "trial_seconds": [t[-1] - t[0] for t in ticks],
+        },
     }
 
 
@@ -619,7 +640,9 @@ def run(config: dict) -> dict:
     }
     if command in _CSV_COLUMNS and config.get("csv"):
         _write_csv(config["csv"], header, results)
-    return {**header, "results": results, "timings": {"total_seconds": elapsed}}
+    # A command's own phase timings join the total under the report's ``timings``.
+    timings = {"total_seconds": elapsed, **results.pop("timings", {})}
+    return {**header, "results": results, "timings": timings}
 
 
 # ---------------------------------------------------------------------------

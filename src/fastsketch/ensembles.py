@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fastsketch.rng import as_generator
+from fastsketch.rng import as_generator, signs
 from fastsketch.transforms import circular_convolve, dft, fwht, is_power_of_two, next_power_of_two
 
 __all__ = [
@@ -131,9 +131,7 @@ def sample_bounded_orthogonal(
 
 def sample_partial_circulant(d: int, M: int, rng: int | np.random.Generator) -> RowSource:
     """Draw eps uniform over {+-1}^d; the row set is fixed to {0, ..., M-1}."""
-    gen = as_generator(rng)
-    eps = gen.integers(0, 2, size=d).astype(np.float64) * 2.0 - 1.0
-    return RowSource(kind="partial_circulant", d=d, M=M, eps=eps)
+    return RowSource(kind="partial_circulant", d=d, M=M, eps=signs(as_generator(rng), d))
 
 
 def sample_dense_gaussian(d: int, M: int, rng: int | np.random.Generator) -> RowSource:
@@ -174,14 +172,20 @@ def _roots_of_unity(src: RowSource) -> np.ndarray:
     return _cached(src, "_roots", lambda s: np.exp((-2j * np.pi / s.d) * np.arange(s.d)))
 
 
-def _real_matmul(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """x @ mat for a real ``mat``; complex x is multiplied part by part,
-    as numpy would cast the whole of ``mat`` to complex on every call."""
+def _by_parts(real_op, x: np.ndarray) -> np.ndarray:
+    """``real_op(x)`` for a real linear map ``real_op`` (real in, real out).
+
+    Complex x is mapped part by part, so a zero imaginary part stays
+    exactly zero, and no real operand (a Gaussian matrix, the circulant
+    spectrum) is ever cast to complex.
+    """
     if not np.iscomplexobj(x):
-        return x @ mat
-    out = np.empty(x.shape[:-1] + mat.shape[1:], dtype=np.complex128)
-    out.real = x.real @ mat
-    out.imag = x.imag @ mat
+        return real_op(x)
+    re = real_op(x.real)
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real = re
+    del re  # so the imaginary part is not mapped while the real one is held
+    out.imag = real_op(x.imag)
     return out
 
 
@@ -192,6 +196,8 @@ def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
     sampled rows; circulant sources convolve with eps and keep the first
     M entries; Gaussian sources multiply by the real matrix.  These keep
     real input real, so only the M gathered rows are cast to complex128.
+    Circulant and Gaussian sources map complex input part by part, so a
+    zero imaginary part stays exactly zero, as it does through ``fwht``.
     """
     x = _check_last_axis(x, src.d, "apply_rows")
     if src.kind == "partial_fourier":
@@ -199,9 +205,9 @@ def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
     elif src.kind == "partial_hadamard":
         y = fwht(x)[..., src.indices]
     elif src.kind == "dense_gaussian":
-        y = _real_matmul(x, src.matrix.T)
+        y = _by_parts(lambda v: v @ src.matrix.T, x)
     else:
-        y = circular_convolve(src.eps, x)[..., : src.M]
+        y = _by_parts(lambda v: circular_convolve(src.eps, v)[..., : src.M], x)
     return y.astype(np.complex128, copy=False)
 
 
@@ -210,7 +216,8 @@ def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
 
     Real input on a real source (Hadamard, circulant, Gaussian) stays
     real and returns float64; Fourier sources and complex input return
-    complex128.
+    complex128.  Circulant and Gaussian sources map complex input part by
+    part, so a zero imaginary part stays exactly zero.
     """
     y = _check_last_axis(y, src.M, "apply_rows_adjoint")
     real = not np.iscomplexobj(y)
@@ -227,16 +234,11 @@ def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
         return fwht(w)
     if src.kind == "partial_circulant":
         # Correlation with eps == convolution with the index-reversed eps,
-        # whose spectrum is the conjugate spectrum (eps is real).
-        spectrum = np.conj(_eps_spectrum(src))
-        if real:
-            # rfft zero-pads y to d; the half spectrum is the first d/2 + 1 bins.
-            half = spectrum[: src.d // 2 + 1] * np.fft.rfft(y, src.d)
-            return np.fft.irfft(half, src.d)
-        w = np.zeros(y.shape[:-1] + (src.d,), dtype=np.complex128)
-        w[..., : src.M] = y
-        return dft(spectrum * dft(w), "inverse")
-    return _real_matmul(y, src.matrix)
+        # whose spectrum is the conjugate spectrum (eps is real).  rfft
+        # zero-pads y to d; the half spectrum is the first d/2 + 1 bins.
+        half = np.conj(_eps_spectrum(src)[: src.d // 2 + 1])
+        return _by_parts(lambda v: np.fft.irfft(half * np.fft.rfft(v, src.d), src.d), y)
+    return _by_parts(lambda v: v @ src.matrix, y)
 
 
 def _column_indices(src: RowSource, cols) -> np.ndarray:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fastsketch.rng import derive_seed, stream
+from fastsketch.rng import derive_seed, signs, stream
 from fastsketch.sketch import SketchOperator, apply
 
 __all__ = [
@@ -38,10 +38,7 @@ def jl_embed(op: SketchOperator, points: np.ndarray, seed: int) -> np.ndarray:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != op.d:
         raise ValueError(f"points must have shape (N, {op.d}), got {np.shape(points)}")
-    rng = stream(derive_seed(seed, 0, "jl-diagonal"))
-    xi = rng.integers(0, 2, size=op.d).astype(np.float64)
-    xi *= 2.0
-    xi -= 1.0
+    xi = signs(stream(derive_seed(seed, 0, "jl-diagonal")), op.d)
     with np.errstate(invalid="ignore", over="ignore"):
         out = apply(op, pts * xi)
     # Each source row weights all d coordinates by nonzero entries (unit-modulus

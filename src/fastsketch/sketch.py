@@ -29,7 +29,7 @@ from fastsketch.ensembles import (
     sample_dense_gaussian,
     sample_partial_circulant,
 )
-from fastsketch.rng import derive_seed, stream
+from fastsketch.rng import derive_seed, signs, stream
 
 __all__ = [
     "SketchOperator",
@@ -106,9 +106,8 @@ def build_sketch(d: int, m: int, B: int, kind: str, seed: int) -> SketchOperator
         source = sample_partial_circulant(d, M, rows_seed)
     else:
         source = sample_dense_gaussian(d, M, rows_seed)
-    sign_rng = stream(derive_seed(seed, 0, "signs"))
-    signs = sign_rng.integers(0, 2, size=(m, B)).astype(np.float64) * 2.0 - 1.0
-    return SketchOperator(source=source, signs=signs, seed=seed)
+    table = signs(stream(derive_seed(seed, 0, "signs")), (m, B))
+    return SketchOperator(source=source, signs=table, seed=seed)
 
 
 def apply(op: SketchOperator, x: np.ndarray) -> np.ndarray:

@@ -193,6 +193,32 @@ def test_jl_rejects_non_finite_input(tmp_path):
     assert not (tmp_path / "jl.json").exists()
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_jl_reports_phase_timings(threads):
+    config = {"command": "jl", "d": 64, "m": 16, "B": 4, "kind": "circulant", "n": 6,
+              "trials": 3, "seed": 5, "threads": threads}
+    report = run(config)
+    timings = report["timings"]
+    for phase in ("total", "source", "build", "embed", "metrics"):
+        assert timings[f"{phase}_seconds"] >= 0.0
+    assert len(timings["trial_seconds"]) == config["trials"]
+    assert all(t >= 0.0 for t in timings["trial_seconds"])
+    # Every phase timing sits under the report's ``timings``, which the
+    # reproducibility comparison drops.
+    assert "timings" not in report["results"]
+    assert "timings" not in strip_timing_fields(report)
+
+
+@pytest.mark.parametrize("kind", ["fourier", "hadamard", "circulant", "gaussian"])
+def test_jl_threads_do_not_change_results(tmp_path, kind):
+    argv = ["jl", "--d", "256", "--m", "16", "--B", "4", "--kind", kind,
+            "--n", "8", "--trials", "4", "--seed", "17"]
+    out1, out2 = tmp_path / "t1.json", tmp_path / "t2.json"
+    assert main(argv + ["--threads", "1", "--out", str(out1)]) == EXIT_OK
+    assert main(argv + ["--threads", "2", "--out", str(out2)]) == EXIT_OK
+    assert strip_timing_fields(read_json(out1)) == strip_timing_fields(read_json(out2))
+
+
 def test_recover_command(tmp_path):
     out = tmp_path / "rec.json"
     assert main(["recover", "--d", "256", "--k", "4", "--m", "96", "--B", "8",

@@ -11,7 +11,7 @@ from fastsketch.jl import (
     read_point_set,
     write_point_set,
 )
-from fastsketch.rng import derive_seed, stream
+from fastsketch.rng import derive_seed, signs, stream
 from fastsketch.sketch import apply, build_sketch, densify_sketch
 
 
@@ -36,8 +36,7 @@ def test_embedding_matches_dense_oracle():
     rng = np.random.default_rng(1)
     pts = rng.standard_normal((6, 64))
     emb = jl_embed(op, pts, seed=6)
-    xi_rng = stream(derive_seed(6, 0, "jl-diagonal"))
-    xi = xi_rng.integers(0, 2, size=64) * 2.0 - 1.0
+    xi = signs(stream(derive_seed(6, 0, "jl-diagonal")), 64)
     np.testing.assert_array_equal(emb, apply(op, pts * xi))
     dense = densify_sketch(op)
     for i in range(6):
@@ -54,8 +53,7 @@ def test_sign_diagonal_preserves_norms():
     d = 128
     rng = np.random.default_rng(3)
     x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    xi_rng = stream(derive_seed(11, 0, "jl-diagonal"))
-    xi = xi_rng.integers(0, 2, size=d) * 2.0 - 1.0
+    xi = signs(stream(derive_seed(11, 0, "jl-diagonal")), d)
     assert np.linalg.norm(xi * x) == np.linalg.norm(x)
 
 

@@ -156,6 +156,29 @@ def test_adjoint_dtype_contract(kind, shape):
     assert apply_adjoint(op, z + 1j * z).dtype == np.complex128
 
 
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["1-D", "3xn"])
+@pytest.mark.parametrize("kind", ["hadamard", "circulant", "gaussian"])
+def test_real_phi_keeps_a_zero_imaginary_part_exactly(kind, shape):
+    # A real Phi maps complex input part by part, so input whose imaginary
+    # part is zero gives output whose imaginary part is exactly zero, in
+    # both directions; the real part is the dense product.
+    op = build_sketch(4096, 16, 8, kind, seed=47)
+    dense = densify_sketch(op)
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(shape + (op.d,)).astype(np.complex128)
+    z = rng.standard_normal(shape + (op.m,)).astype(np.complex128)
+    forward, backward = apply(op, x), apply_adjoint(op, z)
+    assert forward.dtype == backward.dtype == np.complex128
+    assert not np.any(forward.imag) and not np.any(backward.imag)
+    np.testing.assert_allclose(forward.real, x.real @ dense.T, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(backward.real, z.real @ dense, rtol=0, atol=1e-10)
+    # Input with both parts nonzero still matches the dense operator.
+    x = x + 1j * rng.standard_normal(x.shape)
+    z = z + 1j * rng.standard_normal(z.shape)
+    np.testing.assert_allclose(apply(op, x), x @ dense.T, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(apply_adjoint(op, z), z @ dense, rtol=0, atol=1e-10)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_non_finite_values_propagate(kind):
     # apply and apply_adjoint do not check for non-finite values: a NaN
