@@ -35,6 +35,11 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # no resource module on Windows
+    resource = None
+
 import fastsketch
 from fastsketch.analysis import (
     SUPPORT_CAP,
@@ -75,8 +80,13 @@ TIMING_KEYS = frozenset(
         "raw_apply_seconds",
         "raw_adjoint_seconds",
         "apply_doubling_ratio",
+        "median_apply_minor_faults",
+        "median_adjoint_minor_faults",
     }
 )
+
+#: getrusage target for the calling thread alone (Linux), or None.
+_RUSAGE_THREAD = getattr(resource, "RUSAGE_THREAD", None)
 
 _DEFAULTS: dict[str, dict] = {
     "plan": {"kind": "fourier", "epsilon": 0.5},
@@ -526,6 +536,27 @@ def _run_recover(config: dict) -> dict:
     }
 
 
+def _thread_minor_faults() -> int | None:
+    """Minor page faults the calling thread has taken, or None where unavailable."""
+    if _RUSAGE_THREAD is None:
+        return None
+    return resource.getrusage(_RUSAGE_THREAD).ru_minflt
+
+
+def _timed_call(fn, *args) -> tuple[float, int | None]:
+    """Seconds of ``fn(*args)`` and the minor faults it took (read outside the timed window)."""
+    faults = _thread_minor_faults()
+    start = time.perf_counter()
+    fn(*args)
+    seconds = time.perf_counter() - start
+    after = _thread_minor_faults()
+    return seconds, None if faults is None else after - faults
+
+
+def _median_faults(faults: list) -> float | None:
+    return None if None in faults else float(np.median(faults))
+
+
 def _run_bench(config: dict) -> dict:
     _require(config, "bench", "d", "m", "B")
     if config["trials"] < 5:
@@ -543,15 +574,15 @@ def _run_bench(config: dict) -> dict:
             z = gen.standard_normal(config["m"])
             apply(op, x)  # warm-up discarded
             apply_adjoint(op, z)
-            apply_times = []
-            adjoint_times = []
+            apply_times, apply_faults = [], []
+            adjoint_times, adjoint_faults = [], []
             for _ in range(config["trials"]):
-                t0 = time.perf_counter()
-                apply(op, x)
-                apply_times.append(time.perf_counter() - t0)
-                t0 = time.perf_counter()
-                apply_adjoint(op, z)
-                adjoint_times.append(time.perf_counter() - t0)
+                seconds, faults = _timed_call(apply, op, x)
+                apply_times.append(seconds)
+                apply_faults.append(faults)
+                seconds, faults = _timed_call(apply_adjoint, op, z)
+                adjoint_times.append(seconds)
+                adjoint_faults.append(faults)
             median_apply = float(np.median(apply_times))
             record = {
                 "kind": kind,
@@ -563,6 +594,8 @@ def _run_bench(config: dict) -> dict:
                 "median_adjoint_seconds": float(np.median(adjoint_times)),
                 "raw_apply_seconds": apply_times,
                 "raw_adjoint_seconds": adjoint_times,
+                "median_apply_minor_faults": _median_faults(apply_faults),
+                "median_adjoint_minor_faults": _median_faults(adjoint_faults),
                 "apply_doubling_ratio": None if prev_median is None else median_apply / prev_median,
             }
             prev_median = median_apply

@@ -19,6 +19,7 @@ satisfies E |<a, x>|^2 = ||x||^2 for fixed unit x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,14 +163,26 @@ def _cached(src: RowSource, name: str, make) -> np.ndarray:
     return cached
 
 
-def _eps_spectrum(src: RowSource) -> np.ndarray:
-    """DFT of the circulant sign vector."""
-    return _cached(src, "_spectrum", lambda s: dft(s.eps))
+def _conj_eps_half_spectrum(src: RowSource) -> np.ndarray:
+    """conj(rfft(eps)): the d/2 + 1 bins of the circulant adjoint's kernel."""
+    return _cached(src, "_conj_half_spectrum", lambda s: np.conj(np.fft.rfft(s.eps)))
+
+
+@lru_cache(maxsize=4)
+def _roots_table(d: int) -> np.ndarray:
+    """exp(-2 pi i p / d) for p in [0, d), read-only.
+
+    It depends on d alone, so every Fourier source of one d shares it; the
+    bound keeps a few sizes (16d bytes each) alive at most.
+    """
+    roots = np.exp((-2j * np.pi / d) * np.arange(d))
+    roots.setflags(write=False)
+    return roots
 
 
 def _roots_of_unity(src: RowSource) -> np.ndarray:
     """exp(-2 pi i p / d) for p in [0, d): the entries of a Fourier source."""
-    return _cached(src, "_roots", lambda s: np.exp((-2j * np.pi / s.d) * np.arange(s.d)))
+    return _roots_table(src.d)
 
 
 def _by_parts(real_op, x: np.ndarray) -> np.ndarray:
@@ -228,15 +241,19 @@ def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
             np.add.at(w_row, src.indices, y_row)
         if src.kind == "partial_fourier":
             # F* w = d * inverse-DFT(w) for the unnormalized forward F.
-            out = dft(w, "inverse")
-            out *= src.d
-            return out
+            if real:
+                out = dft(w, "inverse")
+                out *= src.d
+                return out
+            # The unscaled inverse transform, in place: for a power-of-two d
+            # it equals d * ifft(w) exactly, with no copy and no scaling pass.
+            return np.fft.ifft(w, norm="forward", out=w)
         return fwht(w)
     if src.kind == "partial_circulant":
         # Correlation with eps == convolution with the index-reversed eps,
         # whose spectrum is the conjugate spectrum (eps is real).  rfft
-        # zero-pads y to d; the half spectrum is the first d/2 + 1 bins.
-        half = np.conj(_eps_spectrum(src)[: src.d // 2 + 1])
+        # zero-pads y to d.
+        half = _conj_eps_half_spectrum(src)
         return _by_parts(lambda v: np.fft.irfft(half * np.fft.rfft(v, src.d), src.d), y)
     return _by_parts(lambda v: v @ src.matrix, y)
 

@@ -449,6 +449,27 @@ def test_bench_csv_structure(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("per_thread", [True, False], ids=["rusage-thread", "unavailable"])
+def test_bench_records_minor_faults_as_timing_fields(monkeypatch, per_thread):
+    # Each record gives the median minor faults of one timed apply and
+    # adjoint call, or null where the platform has no per-thread count.
+    if not per_thread:
+        monkeypatch.setattr(cli, "_RUSAGE_THREAD", None)
+    elif cli._RUSAGE_THREAD is None:
+        pytest.skip("no per-thread resource usage on this platform")
+    report = run({"command": "bench", "kind": "fourier,circulant", "d": "256..512", "m": 8,
+                  "B": 2, "trials": 5, "seed": 23})
+    for record in report["results"]["records"]:
+        for key in ("median_apply_minor_faults", "median_adjoint_minor_faults"):
+            assert key in cli.TIMING_KEYS
+            if per_thread:
+                assert record[key] >= 0
+            else:
+                assert record[key] is None
+    assert "minor_faults" not in json.dumps(strip_timing_fields(report))
+    assert not any("faults" in c for c in cli._CSV_COLUMNS["bench"])
+
+
 def read_csv(path):
     """(``#`` metadata as a dict, column names, rows of cells) of an experiment CSV."""
     lines = path.read_text().splitlines()

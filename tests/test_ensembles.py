@@ -5,6 +5,7 @@ import pytest
 
 from fastsketch.ensembles import (
     RowSource,
+    _roots_of_unity,
     apply_rows,
     apply_rows_adjoint,
     densify,
@@ -13,6 +14,7 @@ from fastsketch.ensembles import (
     sample_dense_gaussian,
     sample_partial_circulant,
 )
+from fastsketch.transforms import dft
 
 ALL_KINDS = ("fourier", "hadamard", "circulant", "gaussian")
 
@@ -209,6 +211,35 @@ def test_adjoint_scatter_accumulates_duplicates():
         assert got.shape == (2, 3, 8)
         for pos in np.ndindex(2, 3):
             np.testing.assert_array_equal(got[pos], apply_rows_adjoint(src, batch[pos]))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["1-D", "batched"])
+@pytest.mark.parametrize("d", [2**6, 2**14, 2**16])
+def test_circulant_adjoint_reads_the_conjugate_half_spectrum_exactly(d, batch):
+    # The cached conj(rfft(eps)) gives exactly the product formed from the
+    # first d/2 + 1 bins of the full DFT of eps; complex input goes by parts.
+    src = sample_partial_circulant(d, 40, 67)
+    half = np.conj(dft(src.eps)[: d // 2 + 1])
+
+    def reference(v):
+        return np.fft.irfft(half * np.fft.rfft(v, d), d)
+
+    y = np.random.default_rng(71).standard_normal(batch + (2, src.M))
+    real, imag = y[..., 0, :], y[..., 1, :]
+    got = apply_rows_adjoint(src, real)
+    assert got.dtype == np.float64 and np.array_equal(got, reference(real))
+    got = apply_rows_adjoint(src, real + 1j * imag)
+    assert np.array_equal(got.real, reference(real)) and np.array_equal(got.imag, reference(imag))
+
+
+def test_fourier_sources_of_one_d_share_a_read_only_roots_table():
+    a = sample_bounded_orthogonal(2**10, 8, "fourier", 73)
+    b = sample_bounded_orthogonal(2**10, 8, "fourier", 79)
+    table = _roots_of_unity(a)
+    assert _roots_of_unity(b) is table
+    assert not table.flags.writeable
+    np.testing.assert_allclose(table, np.exp(-2j * np.pi * np.arange(2**10) / 2**10), atol=1e-15)
+    assert _roots_of_unity(sample_bounded_orthogonal(2**9, 8, "fourier", 73)).shape == (2**9,)
 
 
 def test_dense_two_point_fourier_rows():

@@ -316,6 +316,39 @@ def test_columns_peak_memory_is_a_few_outputs(kind):
     assert peak <= 4 * out.nbytes
 
 
+def test_columns_of_a_fresh_fourier_operator_reuse_the_roots_table():
+    # Fourier operators of one d share one roots-of-unity table, so a fresh
+    # operator's first columns call builds no 16d-byte table of its own.
+    columns(build_sketch(2**14, 400, 16, "fourier", seed=109), np.arange(5))
+    op = build_sketch(2**14, 400, 16, "fourier", seed=113)
+    tracemalloc.start()
+    try:
+        columns(op, np.array([3, 70, 500, 9000, 16000]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * 1024
+
+
+def test_fourier_complex_adjoint_transforms_its_scatter_buffer():
+    # The complex Fourier adjoint inverse-transforms its own scatter buffer
+    # in place: no d-length copy beyond the output, and exactly
+    # d * ifft(w) of the scattered, signed bucket values w.
+    op = build_sketch(2**14, 400, 16, "fourier", seed=127)
+    z = random_complex(np.random.default_rng(131), op.m)
+    apply_adjoint(op, z)  # warm the numpy FFT plan
+    tracemalloc.start()
+    try:
+        got = apply_adjoint(op, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * got.nbytes
+    w = np.zeros(op.d, dtype=np.complex128)
+    np.add.at(w, op.source.indices, ((op.scale * op.signs) * z[:, None]).reshape(-1))
+    assert np.array_equal(got, op.d * np.fft.ifft(w))
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_columns_rejects_bad_support(kind):
     op = build_sketch(32, 4, 4, kind, seed=71)
