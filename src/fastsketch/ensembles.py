@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from fastsketch.rng import as_generator, signs
-from fastsketch.transforms import circular_convolve, dft, fwht, is_power_of_two, next_power_of_two
+from fastsketch.transforms import dft, fwht, is_power_of_two, next_power_of_two
 
 __all__ = [
     "KINDS",
@@ -50,6 +50,11 @@ _KIND_ALIASES = {
 
 #: Default cap on M * d for densification (entries, not bytes).
 DENSIFY_CAP = 2**24
+
+#: Matrix entries per chunk of the Gaussian forward product (512 KB): a
+#: chunk of matrix rows is multiplied into every input row of a call while
+#: it is still in cache.
+_GAUSSIAN_CHUNK_ENTRIES = 2**16
 
 
 def normalize_kind(kind: str) -> str:
@@ -164,7 +169,11 @@ def _cached(src: RowSource, name: str, make) -> np.ndarray:
 
 
 def _conj_eps_half_spectrum(src: RowSource) -> np.ndarray:
-    """conj(rfft(eps)): the d/2 + 1 bins of the circulant adjoint's kernel."""
+    """conj(rfft(eps)): the d/2 + 1 bins of the circulant kernel, read both ways.
+
+    The one spectrum a circulant source keeps: eps is transformed once per
+    source, and ``apply_rows`` and ``apply_rows_adjoint`` both read it.
+    """
     return _cached(src, "_conj_half_spectrum", lambda s: np.conj(np.fft.rfft(s.eps)))
 
 
@@ -202,25 +211,57 @@ def _by_parts(real_op, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gaussian_rows(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v @ matrix.T for real v, as one (1 x d) @ (d x c) product per row and chunk.
+
+    A batch as one matrix-matrix product would take another BLAS kernel
+    than a single row does, with other rounding; here every row runs the
+    same matrix-vector products against the same chunks of c matrix rows
+    (``_GAUSSIAN_CHUNK_ENTRIES`` entries), whatever the batch, and each
+    chunk is read from memory once per call rather than once per row.
+    """
+    M, d = matrix.shape
+    rows = np.ascontiguousarray(v, dtype=np.float64).reshape(-1, 1, d)
+    out = np.empty((rows.shape[0], 1, M))
+    step = max(1, _GAUSSIAN_CHUNK_ENTRIES // d)
+    for r0 in range(0, M, step):
+        np.matmul(rows, matrix[r0 : r0 + step].T, out=out[..., r0 : r0 + step])
+    return out.reshape(np.shape(v)[:-1] + (M,))
+
+
 def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
     """Compute A @ x along the last axis in O(d log d), as complex128.
 
     Fourier/Hadamard sources run the full transform and gather the
-    sampled rows; circulant sources convolve with eps and keep the first
-    M entries; Gaussian sources multiply by the real matrix.  These keep
+    sampled rows; circulant sources convolve with eps (one ``rfft`` and one
+    ``irfft`` per row, against the cached kernel spectrum) and keep the
+    first M entries; Gaussian sources multiply by the real matrix.  These keep
     real input real, so only the M gathered rows are cast to complex128.
     Circulant and Gaussian sources map complex input part by part, so a
     zero imaginary part stays exactly zero, as it does through ``fwht``.
+    The result is a fresh C-contiguous array, and each of its rows is
+    computed on its own, so it does not depend on the rows beside it.
     """
     x = _check_last_axis(x, src.d, "apply_rows")
     if src.kind == "partial_fourier":
-        y = dft(x)[..., src.indices]
+        y = np.take(dft(x), src.indices, axis=-1)
     elif src.kind == "partial_hadamard":
-        y = fwht(x)[..., src.indices]
+        y = np.take(fwht(x), src.indices, axis=-1)
     elif src.kind == "dense_gaussian":
-        y = _by_parts(lambda v: v @ src.matrix.T, x)
+        y = _by_parts(lambda v: _gaussian_rows(src.matrix, v), x)
     else:
-        y = _by_parts(lambda v: circular_convolve(src.eps, v)[..., : src.M], x)
+        half = _conj_eps_half_spectrum(src)
+
+        def convolve(v):
+            # conj(conj(v_hat) * conj(eps_hat)) is exactly v_hat * eps_hat, and
+            # both conjugations run in place on the row's own spectrum.
+            spectrum = np.fft.rfft(np.asarray(v, dtype=np.float64))
+            np.conjugate(spectrum, out=spectrum)
+            spectrum *= half
+            np.conjugate(spectrum, out=spectrum)
+            return np.fft.irfft(spectrum, src.d)[..., : src.M]
+
+        y = _by_parts(convolve, x)
     return y.astype(np.complex128, copy=False)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from fastsketch.rng import derive_seed, signs, stream
-from fastsketch.sketch import SketchOperator, apply
+from fastsketch.sketch import SketchOperator, _row_blocks, apply
 
 __all__ = [
     "jl_embed",
@@ -30,8 +30,11 @@ def jl_embed(op: SketchOperator, points: np.ndarray, seed: int) -> np.ndarray:
 
     Draws one sign vector xi in {+-1}^d from ``seed`` (purpose tag
     ``"jl-diagonal"``) and returns ``apply(op, xi * x)`` for every point;
-    a 1-D input is treated as a single point.  Raises ``ValueError`` when the
-    embedding is not finite, which a NaN or inf coordinate always causes.
+    a 1-D input is treated as a single point.  The points are signed and
+    applied one of ``apply``'s row blocks at a time, so no (N, d) product is
+    formed and each point's embedding is the one it gets on its own.  Raises
+    ``ValueError`` when the embedding is not finite, which a NaN or inf
+    coordinate always causes.
     """
     pts = np.asarray(points)
     if pts.ndim == 1:
@@ -39,8 +42,13 @@ def jl_embed(op: SketchOperator, points: np.ndarray, seed: int) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != op.d:
         raise ValueError(f"points must have shape (N, {op.d}), got {np.shape(points)}")
     xi = signs(stream(derive_seed(seed, 0, "jl-diagonal")), op.d)
+    out = np.empty((pts.shape[0], op.m), dtype=np.complex128)
     with np.errstate(invalid="ignore", over="ignore"):
-        out = apply(op, pts * xi)
+        # apply's own partition, so each call is one whole block of apply's
+        # loop: only that block is ever signed, and a larger slice would be
+        # split the same way.
+        for block in _row_blocks(pts.shape[0], op.d):
+            out[block] = apply(op, pts[block] * xi)
     # Each source row weights all d coordinates by nonzero entries (unit-modulus
     # Fourier, +-1 Hadamard, a +-1 circulant generator, a Gaussian matrix), and
     # the bucket sums add whole rows.  NaN never cancels in such sums and inf

@@ -19,6 +19,7 @@ import numpy as np
 
 from fastsketch.ensembles import (
     DENSIFY_CAP,
+    _check_last_axis,
     _column_indices,
     _source_block,
     RowSource,
@@ -46,6 +47,23 @@ __all__ = [
 #: Float64 entries per source block in ``columns``: enough to amortize the
 #: per-block overhead, small enough to stay in cache.
 _BLOCK_ENTRIES = 2**15
+
+#: Input entries per row block of a batched ``apply`` (see ``_row_blocks``):
+#: one row at d = 2^18, four at d = 2^16.  A block's transform buffers and
+#: the output are all that a call holds, whatever the batch size.
+_ROW_BLOCK_ENTRIES = 2**18
+
+
+def _row_blocks(n: int, d: int) -> list[slice]:
+    """The row slices in which ``apply`` runs a batch of n vectors of length d.
+
+    Each slice holds ``_ROW_BLOCK_ENTRIES`` input entries (at least one
+    row); the last holds the rest.  ``jl_embed``, which signs its points
+    row by row, signs one slice at a time and passes it to ``apply``, which
+    then runs it as a single block.
+    """
+    step = max(1, _ROW_BLOCK_ENTRIES // d)
+    return [slice(r0, min(n, r0 + step)) for r0 in range(0, n, step)]
 
 
 @dataclass(frozen=True)
@@ -113,14 +131,37 @@ def build_sketch(d: int, m: int, B: int, kind: str, seed: int) -> SketchOperator
 def apply(op: SketchOperator, x: np.ndarray) -> np.ndarray:
     """Compute (1/sqrt(mB)) * Phi @ x along the last axis, as complex128.
 
-    One fast source multiply, then signed bucket sums: O(d log d + mB).
-    The input is not checked for non-finite values: NaN and inf
-    propagate into the output (an inf can meet an opposite one in a
-    sum, giving NaN and numpy's invalid-value ``RuntimeWarning``).
+    One fast source multiply, then signed bucket sums: O(d log d + mB)
+    per vector.  A batch runs through the source a block of rows at a
+    time (``_ROW_BLOCK_ENTRIES`` input entries), each block's sums going
+    straight into the output, so a call holds one block's transform
+    buffers beyond its output; a 1-D input is a block of one row.  Every
+    step treats each row on its own, so a row's output does not depend on
+    the batch it came in.  The input is not checked for non-finite
+    values: NaN and inf propagate into the output (an inf can meet an
+    opposite one in a sum, giving NaN and numpy's invalid-value
+    ``RuntimeWarning``).
     """
-    y = apply_rows(op.source, x)
-    buckets = y.reshape(y.shape[:-1] + (op.m, op.B))
-    return op.scale * np.sum(op.signs * buckets, axis=-1)
+    x = _check_last_axis(x, op.d, "apply")
+    rows = x.reshape(-1, op.d)
+    out = np.empty((rows.shape[0], op.m), dtype=np.complex128)
+    for block in _row_blocks(rows.shape[0], op.d):
+        _bucket_sums(op, apply_rows(op.source, rows[block]), out[block])
+    return out.reshape(x.shape[:-1] + (op.m,))
+
+
+def _bucket_sums(op: SketchOperator, y: np.ndarray, out: np.ndarray) -> None:
+    """out = scale * (signed bucket sums of the source rows y), y of shape (k, m*B).
+
+    As in ``columns``: one (1 x B) @ (B x 2) product per row and bucket, on
+    the float64 view of y (real and imaginary parts side by side), written
+    straight into out.  Each row's sums come from the same products
+    whatever the batch, where ``np.sum`` over the bucket axis picks its
+    order of additions from the whole array's shape.
+    """
+    terms = y.view(np.float64).reshape(y.shape[0], op.m, op.B, 2)
+    np.matmul(op.signs[:, None, :], terms, out=out.view(np.float64).reshape(y.shape[0], op.m, 1, 2))
+    out *= op.scale
 
 
 def apply_adjoint(op: SketchOperator, z: np.ndarray) -> np.ndarray:

@@ -133,11 +133,16 @@ def circular_convolve(z: np.ndarray, x: np.ndarray) -> np.ndarray:
             f"convolution length mismatch: kernel has {z.shape[-1]}, input has {x.shape[-1]}"
         )
     _require_power_of_two(x.shape[-1], "convolution length")
+    # np.multiply, not *: numpy may evaluate a * b in the memory of a large
+    # temporary b as b * a, whose complex rounding differs, so the operand
+    # order (x_hat first) would move with the size and the batch shape.
     if not (np.iscomplexobj(z) or np.iscomplexobj(x)):
-        spectrum = np.fft.rfft(z.astype(np.float64, copy=False))
-        spectrum = spectrum * np.fft.rfft(x.astype(np.float64, copy=False))
+        spectrum = np.multiply(
+            np.fft.rfft(x.astype(np.float64, copy=False)),
+            np.fft.rfft(z.astype(np.float64, copy=False)),
+        )
         return np.fft.irfft(spectrum, x.shape[-1])
-    return dft(dft(z) * dft(x), "inverse")
+    return dft(np.multiply(dft(x), dft(z)), "inverse")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fastsketch import ensembles
 from fastsketch.ensembles import (
     RowSource,
     _roots_of_unity,
@@ -14,7 +15,7 @@ from fastsketch.ensembles import (
     sample_dense_gaussian,
     sample_partial_circulant,
 )
-from fastsketch.transforms import dft
+from fastsketch.transforms import circular_convolve, dft
 
 ALL_KINDS = ("fourier", "hadamard", "circulant", "gaussian")
 
@@ -96,8 +97,9 @@ def test_dimension_must_be_power_of_two():
 
 
 def test_eps_entries_validated():
-    with pytest.raises(ValueError, match=r"\+1 or -1"):
-        RowSource(kind="circulant", d=4, M=2, eps=np.array([1.0, 2.0, 1.0, -1.0]))
+    for bad in (2.0, 0.0, -0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            RowSource(kind="circulant", d=4, M=2, eps=np.array([1.0, bad, 1.0, -1.0]))
 
 
 @pytest.mark.parametrize(
@@ -230,6 +232,35 @@ def test_circulant_adjoint_reads_the_conjugate_half_spectrum_exactly(d, batch):
     assert got.dtype == np.float64 and np.array_equal(got, reference(real))
     got = apply_rows_adjoint(src, real + 1j * imag)
     assert np.array_equal(got.real, reference(real)) and np.array_equal(got.imag, reference(imag))
+
+
+@pytest.mark.parametrize("d", [2**10, 2**16])
+def test_circulant_rows_are_circular_convolve_exactly(d):
+    # Both multiply x_hat by eps_hat in that order, below and above the size
+    # (256 KB of spectrum, d = 2^15) at which numpy would elide a temporary.
+    src = sample_partial_circulant(d, 40, 83)
+    x = np.random.default_rng(89).standard_normal((3, d))
+    for v in (x, x[1]):
+        got = apply_rows(src, v)
+        assert np.array_equal(got.real, circular_convolve(src.eps, v)[..., : src.M])
+        assert not np.any(got.imag)
+
+
+def test_gaussian_rows_run_the_same_products_over_partial_chunks(monkeypatch):
+    # Chunks of 3 matrix rows over M = 32 (ten whole, one of 2): every row of
+    # a batch equals the row alone and the product with the whole matrix.
+    monkeypatch.setattr(ensembles, "_GAUSSIAN_CHUNK_ENTRIES", 3 * 64)
+    src = sample_dense_gaussian(64, 32, 97)
+    x = np.random.default_rng(101).standard_normal((2, 5, 64))
+    got = apply_rows(src, x)
+    assert got.shape == (2, 5, 32)
+    np.testing.assert_allclose(got.real, x @ src.matrix.T, rtol=1e-12, atol=1e-12)
+    for pos in np.ndindex(2, 5):
+        np.testing.assert_array_equal(got[pos], apply_rows(src, x[pos]))
+    z = x[0] + 1j * x[1]
+    got = apply_rows(src, z)
+    np.testing.assert_array_equal(got.real, apply_rows(src, x[0]).real)
+    np.testing.assert_array_equal(got.imag, apply_rows(src, x[1]).real)
 
 
 def test_fourier_sources_of_one_d_share_a_read_only_roots_table():

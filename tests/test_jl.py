@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+from fastsketch import sketch
 from fastsketch.jl import (
     _pair_distances,
     distortion_report,
@@ -47,6 +48,17 @@ def test_same_seed_same_embedding():
     op = build_sketch(64, 8, 4, "circulant", seed=7)
     pts = np.random.default_rng(2).standard_normal((4, 64))
     np.testing.assert_array_equal(jl_embed(op, pts, seed=8), jl_embed(op, pts, seed=8))
+
+
+def test_each_point_embeds_as_it_does_alone(monkeypatch):
+    # Blocks of 2 points, so 5 points run as 2 + 2 + 1.
+    monkeypatch.setattr(sketch, "_ROW_BLOCK_ENTRIES", 2 * 64)
+    points = np.random.default_rng(41).standard_normal((5, 64))
+    for kind in ("fourier", "hadamard", "circulant", "gaussian"):
+        op = build_sketch(64, 8, 4, kind, seed=43)
+        out = jl_embed(op, points, seed=47)
+        for i in range(5):
+            np.testing.assert_array_equal(out[i], jl_embed(op, points[i], seed=47)[0])
 
 
 def test_sign_diagonal_preserves_norms():

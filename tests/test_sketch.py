@@ -7,6 +7,7 @@ import pytest
 
 from fastsketch import sketch
 from fastsketch.ensembles import RowSource, densify
+from fastsketch.jl import jl_embed
 from fastsketch.sketch import (
     SketchOperator,
     apply,
@@ -213,13 +214,26 @@ def test_linearity_in_scale():
     np.testing.assert_allclose(apply(op, 3.5 * x), 3.5 * apply(op, x), atol=1e-12)
 
 
-def test_batched_apply_matches_loop():
-    op = build_sketch(64, 4, 8, "circulant", seed=53)
+def test_batched_apply_matches_loop(monkeypatch):
+    # Blocks of 3 rows, so the 8-row batch runs as 3 + 3 + 2; every row must
+    # come out bit-identical to the row applied on its own.
+    monkeypatch.setattr(sketch, "_ROW_BLOCK_ENTRIES", 3 * 64)
     rng = np.random.default_rng(15)
-    xs = rng.standard_normal((5, 64))
-    batched = apply(op, xs)
-    for i in range(5):
-        np.testing.assert_array_equal(batched[i], apply(op, xs[i]))
+    for kind in ALL_KINDS:
+        op = build_sketch(64, 4, 8, kind, seed=53)
+        for xs in (rng.standard_normal((8, 64)), random_complex(rng, 8 * 64).reshape(8, 64)):
+            batched = apply(op, xs)
+            assert batched.shape == (8, op.m) and batched.dtype == np.complex128
+            for i in range(8):
+                np.testing.assert_array_equal(batched[i], apply(op, xs[i]))
+            np.testing.assert_array_equal(apply(op, xs.reshape(2, 4, 64)), batched.reshape(2, 4, -1))
+
+
+def test_row_blocks_cover_the_batch_in_order():
+    assert sketch._row_blocks(0, 2**16) == []
+    assert sketch._row_blocks(9, 2**16) == [slice(0, 4), slice(4, 8), slice(8, 9)]
+    assert sketch._row_blocks(2, 2**19) == [slice(0, 1), slice(1, 2)]
+    assert sketch._row_blocks(3, 64) == [slice(0, 3)]
 
 
 def test_scale_invariant():
@@ -314,6 +328,57 @@ def test_columns_peak_memory_is_a_few_outputs(kind):
         tracemalloc.stop()
     # A full (m*B, k) complex source block alone would be 16 outputs.
     assert peak <= 4 * out.nbytes
+
+
+@pytest.mark.parametrize("kind", ["fourier", "hadamard", "circulant"])
+def test_jl_embed_peak_memory_does_not_grow_with_the_batch(kind):
+    # A batch runs a block of rows at a time, so 32 points at d = 2^16 (eight
+    # blocks) peak at about what 4 points (one block) do: the output grows
+    # by 28 x m complex entries, the transform buffers not at all.
+    op = build_sketch(2**16, 64, 16, kind, seed=137)
+    points = np.random.default_rng(139).standard_normal((32, op.d))
+    jl_embed(op, points[:4], seed=149)  # warm the FFT plans and the spectrum cache
+    peaks = []
+    for n in (4, 32):
+        tracemalloc.start()
+        try:
+            jl_embed(op, points[:n], seed=149)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_circulant_transforms_each_row_once_and_eps_once_per_source(monkeypatch):
+    # Counts the rows that go through np.fft.rfft and np.fft.irfft: eps is
+    # transformed once per source, for both directions, and every input row
+    # costs one rfft and one irfft, however the batch is split into blocks.
+    counts = {"rfft": 0, "irfft": 0}
+
+    def counting(name):
+        fft = getattr(np.fft, name)
+
+        def counted(a, *args, **kwargs):
+            counts[name] += int(np.prod(np.shape(a)[:-1]))
+            return fft(a, *args, **kwargs)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(np.fft, name, counting(name))
+    monkeypatch.setattr(sketch, "_ROW_BLOCK_ENTRIES", 3 * 2**10)
+    op = build_sketch(2**10, 8, 4, "circulant", seed=151)
+    points = np.random.default_rng(157).standard_normal((5, op.d))
+    jl_embed(op, points, seed=163)
+    assert counts == {"rfft": 5 + 1, "irfft": 5}
+    jl_embed(op, points, seed=163)
+    assert counts == {"rfft": 2 * 5 + 1, "irfft": 2 * 5}
+    apply_adjoint(op, np.ones((2, op.m)))
+    assert counts == {"rfft": 2 * 5 + 1 + 2, "irfft": 2 * 5 + 2}
+    cached = [v for name, v in vars(op.source).items() if isinstance(v, np.ndarray)
+              and name not in ("indices", "eps", "matrix")]
+    assert len(cached) == 1
+    assert cached[0].shape == (op.d // 2 + 1,) and cached[0].dtype == np.complex128
 
 
 def test_columns_of_a_fresh_fourier_operator_reuse_the_roots_table():
