@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -245,7 +246,7 @@ def mc_rip_lower_bound(
         raise ValueError(f"trials must be positive, got {trials}")
     if not 1 <= k <= op.d:
         raise ValueError(f"sparsity k must lie in [1, {op.d}], got {k}")
-    seed = rng if isinstance(rng, int) else None
+    seed = int(rng) if isinstance(rng, numbers.Integral) and not isinstance(rng, bool) else None
     gen = as_generator(rng)
     epsilon, solved = 0.0, 0
     batch = max(1, _CHUNK // op.m)
@@ -289,14 +290,11 @@ def operator_norms(mat: np.ndarray) -> OperatorNorms:
 
 
 def complexify_vector(x: np.ndarray) -> np.ndarray:
-    """Map C^d -> R^{2d} entrywise, a + bi -> (a, b); norm preserved."""
-    x = np.asarray(x, dtype=np.complex128)
+    """Map C^d -> R^{2d} entrywise, a + bi -> (a, b), into a fresh array; norm preserved."""
+    x = np.array(x, dtype=np.complex128)
     if x.ndim != 1:
         raise ValueError("expected a 1-D vector")
-    out = np.empty(2 * x.shape[0], dtype=np.float64)
-    out[0::2] = x.real
-    out[1::2] = x.imag
-    return out
+    return x.view(np.float64)
 
 
 def complexify_matrix(a: np.ndarray) -> np.ndarray:

@@ -195,7 +195,9 @@ def _resolve_threads(explicit: int | None) -> int:
             value = int(env)
         except ValueError as exc:
             raise UsageError(f"FASTSKETCH_THREADS must be an integer, got {env!r}") from exc
-        return max(1, value)
+        if value < 1:
+            raise UsageError(f"FASTSKETCH_THREADS must be positive, got {env!r}")
+        return value
     return os.cpu_count() or 1
 
 

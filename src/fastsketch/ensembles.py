@@ -24,7 +24,14 @@ from functools import lru_cache
 import numpy as np
 
 from fastsketch.rng import as_generator, signs
-from fastsketch.transforms import dft, fwht, is_power_of_two, next_power_of_two
+from fastsketch.transforms import (
+    _by_parts,
+    _sylvester_entries,
+    dft,
+    fwht,
+    is_power_of_two,
+    next_power_of_two,
+)
 
 __all__ = [
     "KINDS",
@@ -89,13 +96,9 @@ class RowSource:
         if self.M < 1:
             raise ValueError(f"row count M must be positive, got {self.M}")
         if self.kind in ("partial_fourier", "partial_hadamard"):
-            if self.indices is None:
-                raise ValueError(f"{self.kind} source needs an indices payload")
-            idx = np.asarray(self.indices, dtype=np.intp)
+            idx = _indices(self.indices, self.d, "row indices")
             if idx.shape != (self.M,):
-                raise ValueError(f"indices must have shape ({self.M},), got {idx.shape}")
-            if idx.min() < 0 or idx.max() >= self.d:
-                raise ValueError("row indices out of range [0, d)")
+                raise ValueError(f"row indices must have shape ({self.M},), got {idx.shape}")
             idx.setflags(write=False)
             object.__setattr__(self, "indices", idx)
         elif self.kind == "partial_circulant":
@@ -147,6 +150,19 @@ def sample_dense_gaussian(d: int, M: int, rng: int | np.random.Generator) -> Row
     return RowSource(kind="dense_gaussian", d=d, M=M, matrix=matrix)
 
 
+def _indices(values, d: int, what: str) -> np.ndarray:
+    """``values`` as intp indices into [0, d); floats, bools and 0-d values are refused."""
+    idx = np.asarray(values)
+    if idx.ndim == 0 or not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(
+            f"{what} must be an integer array of at least one dimension, "
+            f"got dtype {idx.dtype} and shape {idx.shape}"
+        )
+    if idx.size and (idx.min() < 0 or idx.max() >= d):
+        raise ValueError(f"{what} out of range [0, {d})")
+    return idx.astype(np.intp, copy=False)
+
+
 def _check_last_axis(x: np.ndarray, length: int, what: str) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim == 0 or x.shape[-1] != length:
@@ -154,27 +170,19 @@ def _check_last_axis(x: np.ndarray, length: int, what: str) -> np.ndarray:
     return x
 
 
-def _cached(src: RowSource, name: str, make) -> np.ndarray:
-    """``make(src)``, computed once and cached on the (immutable) source.
-
-    The value is a pure function of the source, so the benign first-use
-    race under concurrent readers recomputes identical values.
-    """
-    cached = getattr(src, name, None)
-    if cached is None:
-        cached = make(src)
-        cached.setflags(write=False)
-        object.__setattr__(src, name, cached)
-    return cached
-
-
 def _conj_eps_half_spectrum(src: RowSource) -> np.ndarray:
     """conj(rfft(eps)): the d/2 + 1 bins of the circulant kernel, read both ways.
 
-    The one spectrum a circulant source keeps: eps is transformed once per
-    source, and ``apply_rows`` and ``apply_rows_adjoint`` both read it.
+    The one spectrum a circulant source keeps, cached on the (immutable)
+    source and read by ``apply_rows`` and ``apply_rows_adjoint``; a
+    first-use race recomputes the same value.
     """
-    return _cached(src, "_conj_half_spectrum", lambda s: np.conj(np.fft.rfft(s.eps)))
+    half = getattr(src, "_conj_half_spectrum", None)
+    if half is None:
+        half = np.conj(np.fft.rfft(src.eps))
+        half.setflags(write=False)
+        object.__setattr__(src, "_conj_half_spectrum", half)
+    return half
 
 
 @lru_cache(maxsize=4)
@@ -187,28 +195,6 @@ def _roots_table(d: int) -> np.ndarray:
     roots = np.exp((-2j * np.pi / d) * np.arange(d))
     roots.setflags(write=False)
     return roots
-
-
-def _roots_of_unity(src: RowSource) -> np.ndarray:
-    """exp(-2 pi i p / d) for p in [0, d): the entries of a Fourier source."""
-    return _roots_table(src.d)
-
-
-def _by_parts(real_op, x: np.ndarray) -> np.ndarray:
-    """``real_op(x)`` for a real linear map ``real_op`` (real in, real out).
-
-    Complex x is mapped part by part, so a zero imaginary part stays
-    exactly zero, and no real operand (a Gaussian matrix, the circulant
-    spectrum) is ever cast to complex.
-    """
-    if not np.iscomplexobj(x):
-        return real_op(x)
-    re = real_op(x.real)
-    out = np.empty(re.shape, dtype=np.complex128)
-    out.real = re
-    del re  # so the imaginary part is not mapped while the real one is held
-    out.imag = real_op(x.imag)
-    return out
 
 
 def _gaussian_rows(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -271,7 +257,8 @@ def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
     Real input on a real source (Hadamard, circulant, Gaussian) stays
     real and returns float64; Fourier sources and complex input return
     complex128.  Circulant and Gaussian sources map complex input part by
-    part, so a zero imaginary part stays exactly zero.
+    part, so a zero imaginary part stays exactly zero.  As in
+    ``apply_rows``, each row is computed on its own.
     """
     y = _check_last_axis(y, src.M, "apply_rows_adjoint")
     real = not np.iscomplexobj(y)
@@ -293,23 +280,13 @@ def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
     if src.kind == "partial_circulant":
         # Correlation with eps == convolution with the index-reversed eps,
         # whose spectrum is the conjugate spectrum (eps is real).  rfft
-        # zero-pads y to d.
+        # zero-pads y to d.  np.multiply, not *: see ``circular_convolve``.
         half = _conj_eps_half_spectrum(src)
-        return _by_parts(lambda v: np.fft.irfft(half * np.fft.rfft(v, src.d), src.d), y)
-    return _by_parts(lambda v: v @ src.matrix, y)
-
-
-def _column_indices(src: RowSource, cols) -> np.ndarray:
-    """Validate column indices of ``src`` and return them as intp."""
-    cols = np.asarray(cols)
-    if cols.ndim == 0 or not np.issubdtype(cols.dtype, np.integer):
-        raise ValueError(
-            f"columns must be an integer array of at least one dimension, "
-            f"got dtype {cols.dtype} and shape {cols.shape}"
+        return _by_parts(
+            lambda v: np.fft.irfft(np.multiply(half, np.fft.rfft(v, src.d)), src.d), y
         )
-    if cols.size and (cols.min() < 0 or cols.max() >= src.d):
-        raise ValueError(f"column indices out of range [0, {src.d})")
-    return cols.astype(np.intp, copy=False)
+    # One (1 x M) @ (M x d) product per row, as in ``_gaussian_rows``.
+    return _by_parts(lambda v: np.matmul(v[..., None, :], src.matrix)[..., 0, :], y)
 
 
 def _source_block(src: RowSource, cols: np.ndarray, r0: int, r1: int) -> np.ndarray:
@@ -318,7 +295,7 @@ def _source_block(src: RowSource, cols: np.ndarray, r0: int, r1: int) -> np.ndar
     The block comes from the closed form of each entry, with no transform:
     float64 (+-1, or the Gaussian entries) for Hadamard, circulant and
     Gaussian sources, complex128 roots of unity for Fourier sources.
-    ``cols`` must already be validated intp column indices.  No index
+    ``cols`` must already be validated intp column indices (``_indices``).  No index
     temporary outlives the block's construction.
     """
     mask = src.d - 1  # d is a power of two, so "& mask" is "mod d"
@@ -327,13 +304,9 @@ def _source_block(src: RowSource, cols: np.ndarray, r0: int, r1: int) -> np.ndar
         # rounding at any d; exp of the unreduced product would not.
         phase = np.multiply.outer(src.indices[r0:r1], cols)
         phase &= mask
-        return _roots_of_unity(src)[phase]
+        return _roots_table(src.d)[phase]
     if src.kind == "partial_hadamard":
-        parity = np.bitwise_count(np.bitwise_and.outer(src.indices[r0:r1], cols))
-        parity &= 1
-        block = np.multiply(parity, -2.0)  # 1 - 2 parity, with one float64 temporary
-        block += 1.0
-        return block
+        return _sylvester_entries(src.indices[r0:r1], cols)
     if src.kind == "partial_circulant":
         shift = np.subtract.outer(np.arange(r0, r1), cols)
         shift &= mask

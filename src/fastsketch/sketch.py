@@ -20,7 +20,7 @@ import numpy as np
 from fastsketch.ensembles import (
     DENSIFY_CAP,
     _check_last_axis,
-    _column_indices,
+    _indices,
     _source_block,
     RowSource,
     apply_rows,
@@ -169,12 +169,10 @@ def apply_adjoint(op: SketchOperator, z: np.ndarray) -> np.ndarray:
 
     Real input on a Hadamard, circulant or Gaussian source (whose Phi is
     real) stays real and returns float64; Fourier sources and complex
-    input return complex128.  As in ``apply``, non-finite values are not
-    checked: NaN and inf propagate into the output.
+    input return complex128.  As in ``apply``, each row is computed on its
+    own, and NaN and inf propagate into the output unchecked.
     """
-    z = np.asarray(z)
-    if z.ndim == 0 or z.shape[-1] != op.m:
-        raise ValueError(f"apply_adjoint: expected last-axis length {op.m}, got {z.shape}")
+    z = _check_last_axis(z, op.m, "apply_adjoint")
     z = z.astype(np.complex128 if np.iscomplexobj(z) else np.float64, copy=False)
     w = (op.scale * op.signs) * z[..., :, None]
     return apply_rows_adjoint(op.source, w.reshape(z.shape[:-1] + (op.m * op.B,)))
@@ -190,21 +188,17 @@ def columns(op: SketchOperator, support: np.ndarray) -> np.ndarray:
     buckets at a time (about ``_BLOCK_ENTRIES`` float64 entries) and
     summed into the output at once, as a batched (1 x B) @ (B x k) matmul
     per bucket, so no (m*B, k) block is ever held, and a block is
-    released before the next one is built.  Fourier blocks enter the
-    matmul as their float64 view (real and imaginary parts side by side).
+    released before the next one is built.  Blocks enter the matmul as
+    their float64 view (for Fourier, real and imaginary parts side by side).
     """
-    support = _column_indices(op.source, support)
+    support = _indices(support, op.d, "column indices")
     fourier = op.source.kind == "partial_fourier"
     out = np.empty((op.m,) + support.shape, dtype=np.complex128 if fourier else np.float64)
-    sums = out.reshape(op.m, support.size)
-    if fourier:
-        sums = sums.view(np.float64)
+    sums = out.reshape(op.m, support.size).view(np.float64)
     buckets = max(1, _BLOCK_ENTRIES // max(1, op.B * sums.shape[1]))
     for b0 in range(0, op.m, buckets):
         b1 = min(op.m, b0 + buckets)
-        block = _source_block(op.source, support, b0 * op.B, b1 * op.B)
-        if fourier:
-            block = block.view(np.float64)
+        block = _source_block(op.source, support, b0 * op.B, b1 * op.B).view(np.float64)
         sums[b0:b1] = (op.signs[b0:b1, None, :] @ block.reshape(b1 - b0, op.B, -1))[:, 0]
         del block  # so the next block is not built while this one is held
     out *= op.scale

@@ -81,11 +81,34 @@ def dft(x: np.ndarray, direction: str = "forward") -> np.ndarray:
     return np.fft.ifft(y, out=y)
 
 
-#: H_16 and the smaller blocks a last factor may need; H[i, j] = (-1)^popcount(i & j).
-_SYLVESTER = {
-    n: 1.0 - 2.0 * (np.bitwise_count(np.bitwise_and.outer(np.arange(n), np.arange(n))) & 1)
-    for n in (1, 2, 4, 8, 16)
-}
+def _by_parts(real_op, x: np.ndarray) -> np.ndarray:
+    """``real_op(x)`` for a real linear map ``real_op`` (real in, real out).
+
+    Complex x is mapped part by part, so a zero imaginary part stays
+    exactly zero, and no real operand (a Gaussian matrix, the circulant
+    spectrum, a Sylvester block) is ever cast to complex.
+    """
+    if not np.iscomplexobj(x):
+        return real_op(x)
+    re = real_op(x.real)
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real = re
+    del re  # so the imaginary part is not mapped while the real one is held
+    out.imag = real_op(x.imag)
+    return out
+
+
+def _sylvester_entries(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sylvester-Hadamard entries (-1)^popcount(i & j) of the outer product, as float64."""
+    parity = np.bitwise_count(np.bitwise_and.outer(rows, cols))
+    parity &= 1
+    block = np.multiply(parity, -2.0)  # 1 - 2 parity, with one float64 temporary
+    block += 1.0
+    return block
+
+
+#: H_16 and the smaller blocks a last factor may need.
+_SYLVESTER = {n: _sylvester_entries(np.arange(n), np.arange(n)) for n in (1, 2, 4, 8, 16)}
 
 
 def fwht(x: np.ndarray) -> np.ndarray:
@@ -94,8 +117,8 @@ def fwht(x: np.ndarray) -> np.ndarray:
     H_1 = [1], H_{2n} = [[H_n, H_n], [H_n, -H_n]]; entries are +-1 and
     H is its own inverse up to the factor n: ``fwht(fwht(x)) == n * x``.
     Length must be a power of two.  Real input is transformed in float64
-    and returns float64; complex input returns complex128, transformed
-    as its real and imaginary parts.  The input is not modified.
+    and returns float64; complex input returns complex128, mapped part by
+    part.  The input is not modified.
 
     H_n is the Kronecker product of 16 x 16 Sylvester blocks and one
     block of order 2^(log2 n mod 4), so each pass multiplies the leading
@@ -107,8 +130,7 @@ def fwht(x: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     _require_power_of_two(n, "fwht length")
     if np.iscomplexobj(x):
-        re, im = fwht(np.stack((x.real, x.imag)))
-        return re + 1j * im
+        return _by_parts(fwht, x)
     y = np.asarray(x, dtype=np.float64).reshape(-1, n)
     rest = n
     while True:  # at least one pass, so the result never aliases x

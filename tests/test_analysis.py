@@ -142,6 +142,14 @@ class TestMonteCarloRip:
         assert rep.seed == 11 and rep.supports_evaluated == 7
         assert rep.method == "monte_carlo"
 
+    def test_reports_a_numpy_integer_seed(self):
+        # Any integer seed is recorded as a Python int; a generator has none.
+        op = build_sketch(16, 4, 2, "fourier", seed=109)
+        rep = mc_rip_lower_bound(op, 2, trials=7, rng=np.int64(11))
+        assert rep.seed == 11 and type(rep.seed) is int
+        assert rep.epsilon == mc_rip_lower_bound(op, 2, trials=7, rng=11).epsilon
+        assert mc_rip_lower_bound(op, 2, trials=7, rng=as_generator(11)).seed is None
+
     @pytest.mark.parametrize("k, trials", [(2.0, 5), (2, 2.5), ("2", 5), (2, None)])
     def test_non_integer_arguments_rejected(self, k, trials):
         op = build_sketch(16, 4, 2, "fourier", seed=109)
@@ -486,6 +494,15 @@ class TestComplexification:
 
     def test_real_vector(self):
         np.testing.assert_array_equal(complexify_vector(np.array([3.0])), [3.0, 0.0])
+
+    def test_vector_is_a_fresh_interleaved_array(self):
+        # A strided complex input maps to (re, im) pairs in a fresh array.
+        x = random_complex(np.random.default_rng(149), 12)[::3]
+        out = complexify_vector(x)
+        np.testing.assert_array_equal(out, np.column_stack((x.real, x.imag)).ravel())
+        assert not np.shares_memory(out, x)
+        y = x.copy()
+        assert not np.shares_memory(complexify_vector(y), y)
 
     def test_unit_imaginary_matrix_block(self):
         np.testing.assert_array_equal(

@@ -369,6 +369,17 @@ def test_env_var_thread_override(tmp_path, monkeypatch):
     assert strip_timing_fields(read_json(out)) == strip_timing_fields(read_json(out2))
 
 
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_env_var_thread_count_must_be_positive(monkeypatch, capsys, value):
+    # The variable follows the --threads rule: a count below one is a usage error.
+    monkeypatch.setenv("FASTSKETCH_THREADS", value)
+    argv = ["rip", "--d", "16", "--k", "2", "--m", "4", "--B", "2", "--trials", "2",
+            "--seed", "5"]
+    assert main(argv) == EXIT_USAGE
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert "FASTSKETCH_THREADS" in err and value in err
+
+
 def test_build_dump_writes_payload_arrays(tmp_path):
     dump = tmp_path / "op.npz"
     assert main(["build", "--d", "32", "--m", "4", "--B", "2", "--kind", "circulant",

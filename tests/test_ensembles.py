@@ -6,7 +6,7 @@ import pytest
 from fastsketch import ensembles
 from fastsketch.ensembles import (
     RowSource,
-    _roots_of_unity,
+    _roots_table,
     apply_rows,
     apply_rows_adjoint,
     densify,
@@ -94,6 +94,19 @@ def test_circulant_requires_m_at_most_d():
 def test_dimension_must_be_power_of_two():
     with pytest.raises(ValueError, match="power of two"):
         sample_bounded_orthogonal(12, 3, "fourier", 1)
+
+
+@pytest.mark.parametrize(
+    "indices", [[1.7, 2.2], [True, False], np.array(3), [[1], [2]], [1, 8], [-1, 2]],
+    ids=["float", "bool", "0-d", "2-D", "too-large", "negative"],
+)
+def test_row_indices_validated(indices):
+    # Row indices follow the rule for column supports: integers in [0, d),
+    # never truncated from floats or read as a mask; here also of shape (M,).
+    with pytest.raises(ValueError, match="row indices"):
+        RowSource(kind="fourier", d=8, M=2, indices=indices)
+    src = RowSource(kind="hadamard", d=8, M=2, indices=np.array([7, 0], dtype=np.uint8))
+    assert src.indices.dtype == np.intp and src.indices.tolist() == [7, 0]
 
 
 def test_eps_entries_validated():
@@ -224,7 +237,7 @@ def test_circulant_adjoint_reads_the_conjugate_half_spectrum_exactly(d, batch):
     half = np.conj(dft(src.eps)[: d // 2 + 1])
 
     def reference(v):
-        return np.fft.irfft(half * np.fft.rfft(v, d), d)
+        return np.fft.irfft(np.multiply(half, np.fft.rfft(v, d)), d)
 
     y = np.random.default_rng(71).standard_normal(batch + (2, src.M))
     real, imag = y[..., 0, :], y[..., 1, :]
@@ -266,11 +279,11 @@ def test_gaussian_rows_run_the_same_products_over_partial_chunks(monkeypatch):
 def test_fourier_sources_of_one_d_share_a_read_only_roots_table():
     a = sample_bounded_orthogonal(2**10, 8, "fourier", 73)
     b = sample_bounded_orthogonal(2**10, 8, "fourier", 79)
-    table = _roots_of_unity(a)
-    assert _roots_of_unity(b) is table
+    table = _roots_table(a.d)
+    assert _roots_table(b.d) is table
     assert not table.flags.writeable
     np.testing.assert_allclose(table, np.exp(-2j * np.pi * np.arange(2**10) / 2**10), atol=1e-15)
-    assert _roots_of_unity(sample_bounded_orthogonal(2**9, 8, "fourier", 73)).shape == (2**9,)
+    assert _roots_table(sample_bounded_orthogonal(2**9, 8, "fourier", 73).d).shape == (2**9,)
 
 
 def test_dense_two_point_fourier_rows():

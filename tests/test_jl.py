@@ -212,6 +212,18 @@ def test_complex_point_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(read_point_set(path), pts)
 
 
+def test_complex_point_csv_keeps_every_stored_value(tmp_path):
+    # inf and the sign of zero come back as stored, with no NaN and no warning.
+    path = tmp_path / "special.csv"
+    path.write_text("d=2,complex=1\n1.0,inf,-0.0,2.0\n")
+    got = read_point_set(path)
+    assert got.dtype == np.complex128 and got.shape == (1, 2)
+    assert got[0, 0].real == 1.0 and got[0, 0].imag == np.inf
+    assert got[0, 1].real == 0.0 and np.signbit(got[0, 1].real) and got[0, 1].imag == 2.0
+    write_point_set(tmp_path / "again.csv", got)
+    assert (tmp_path / "again.csv").read_text() == "d=2,complex=1\n1.0,inf,-0.0,2.0\n"
+
+
 def test_malformed_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("dimension=4\n1,2,3,4\n")

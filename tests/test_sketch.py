@@ -229,6 +229,23 @@ def test_batched_apply_matches_loop(monkeypatch):
             np.testing.assert_array_equal(apply(op, xs.reshape(2, 4, 64)), batched.reshape(2, 4, -1))
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_batched_adjoint_matches_loop(kind):
+    # Every row of a batched adjoint is bit-identical to the row on its own.
+    # Circulant runs at d = 2^16, where numpy would elide the temporary of a
+    # lone row's spectrum product and swap its operands.
+    d = {"circulant": 2**16, "gaussian": 2**10}.get(kind, 2**8)
+    op = build_sketch(d, 32, 8, kind, seed=55)
+    rng = np.random.default_rng(17)
+    for zs in (rng.standard_normal((5, op.m)), random_complex(rng, 5 * op.m).reshape(5, op.m)):
+        batched = apply_adjoint(op, zs)
+        assert batched.shape == (5, op.d)
+        for i in range(5):
+            np.testing.assert_array_equal(batched[i], apply_adjoint(op, zs[i]))
+        np.testing.assert_array_equal(apply_adjoint(op, zs[:4].reshape(2, 2, -1)),
+                                      batched[:4].reshape(2, 2, -1))
+
+
 def test_row_blocks_cover_the_batch_in_order():
     assert sketch._row_blocks(0, 2**16) == []
     assert sketch._row_blocks(9, 2**16) == [slice(0, 4), slice(4, 8), slice(8, 9)]
@@ -349,11 +366,9 @@ def test_jl_embed_peak_memory_does_not_grow_with_the_batch(kind):
     assert peaks[1] <= 1.25 * peaks[0]
 
 
-def test_circulant_transforms_each_row_once_and_eps_once_per_source(monkeypatch):
-    # Counts the rows that go through np.fft.rfft and np.fft.irfft: eps is
-    # transformed once per source, for both directions, and every input row
-    # costs one rfft and one irfft, however the batch is split into blocks.
-    counts = {"rfft": 0, "irfft": 0}
+def count_fft_rows(monkeypatch, names):
+    """A dict that counts the rows each named ``np.fft`` function transforms."""
+    counts = dict.fromkeys(names, 0)
 
     def counting(name):
         fft = getattr(np.fft, name)
@@ -364,8 +379,16 @@ def test_circulant_transforms_each_row_once_and_eps_once_per_source(monkeypatch)
 
         return counted
 
-    for name in counts:
+    for name in names:
         monkeypatch.setattr(np.fft, name, counting(name))
+    return counts
+
+
+def test_circulant_transforms_each_row_once_and_eps_once_per_source(monkeypatch):
+    # Counts the rows that go through np.fft.rfft and np.fft.irfft: eps is
+    # transformed once per source, for both directions, and every input row
+    # costs one rfft and one irfft, however the batch is split into blocks.
+    counts = count_fft_rows(monkeypatch, ("rfft", "irfft"))
     monkeypatch.setattr(sketch, "_ROW_BLOCK_ENTRIES", 3 * 2**10)
     op = build_sketch(2**10, 8, 4, "circulant", seed=151)
     points = np.random.default_rng(157).standard_normal((5, op.d))
@@ -379,6 +402,19 @@ def test_circulant_transforms_each_row_once_and_eps_once_per_source(monkeypatch)
               and name not in ("indices", "eps", "matrix")]
     assert len(cached) == 1
     assert cached[0].shape == (op.d // 2 + 1,) and cached[0].dtype == np.complex128
+
+
+def test_fourier_transforms_each_row_once(monkeypatch):
+    # A real point costs one rfft (the rest of its spectrum is mirrored) and
+    # no other transform; a complex row costs one fft.  Blocks split the batch.
+    counts = count_fft_rows(monkeypatch, ("rfft", "fft", "ifft", "irfft", "ihfft"))
+    monkeypatch.setattr(sketch, "_ROW_BLOCK_ENTRIES", 3 * 2**10)
+    op = build_sketch(2**10, 8, 4, "fourier", seed=167)
+    rng = np.random.default_rng(173)
+    jl_embed(op, rng.standard_normal((5, op.d)), seed=179)
+    assert counts == {"rfft": 5, "fft": 0, "ifft": 0, "irfft": 0, "ihfft": 0}
+    apply(op, random_complex(rng, 7 * op.d).reshape(7, op.d))
+    assert counts == {"rfft": 5, "fft": 7, "ifft": 0, "irfft": 0, "ihfft": 0}
 
 
 def test_columns_of_a_fresh_fourier_operator_reuse_the_roots_table():
