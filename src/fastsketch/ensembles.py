@@ -63,6 +63,14 @@ DENSIFY_CAP = 2**24
 #: it is still in cache.
 _GAUSSIAN_CHUNK_ENTRIES = 2**16
 
+#: The circulant block rule (``_circulant_blocks``): blocks from this d on,
+#: and only that many blocks or more.  Below either, the one length-d
+#: convolution was as fast or faster in one direction or both: with 4 or 8
+#: blocks at d = 2^14..2^20, and in the adjoint at d = 2^14 and 2^15 with up
+#: to 64 blocks (2-core Xeon with 2 MB of L2 per core, numpy 2.4.6).
+_CIRCULANT_BLOCKED_FROM = 2**16
+_CIRCULANT_MIN_BLOCKS = 16
+
 
 def normalize_kind(kind: str) -> str:
     """Map shorthand ensemble names onto the canonical kind strings."""
@@ -79,7 +87,9 @@ class RowSource:
     Exactly one payload field is populated, depending on ``kind``:
     ``indices`` (0-based row indices, shape (M,)) for the bounded
     orthogonal kinds, ``eps`` (+-1 vector, shape (d,)) for the circulant
-    kind, ``matrix`` (shape (M, d)) for the Gaussian baseline.
+    kind, ``matrix`` (shape (M, d)) for the Gaussian baseline.  The
+    payload is kept read-only; a writeable array the caller passed is
+    copied, so the caller's array stays writeable (``_frozen``).
     """
 
     kind: str
@@ -99,8 +109,7 @@ class RowSource:
             idx = _indices(self.indices, self.d, "row indices")
             if idx.shape != (self.M,):
                 raise ValueError(f"row indices must have shape ({self.M},), got {idx.shape}")
-            idx.setflags(write=False)
-            object.__setattr__(self, "indices", idx)
+            object.__setattr__(self, "indices", _frozen(idx, self.indices))
         elif self.kind == "partial_circulant":
             if self.M > self.d:
                 raise ValueError(
@@ -112,8 +121,7 @@ class RowSource:
                 raise ValueError(f"eps must have shape ({self.d},), got {eps.shape}")
             if not np.all(np.abs(eps) == 1.0):
                 raise ValueError("eps entries must be +1 or -1")
-            eps.setflags(write=False)
-            object.__setattr__(self, "eps", eps)
+            object.__setattr__(self, "eps", _frozen(eps, self.eps))
         else:
             mat = np.asarray(self.matrix, dtype=np.float64)
             if mat.shape != (self.M, self.d):
@@ -122,8 +130,7 @@ class RowSource:
                 )
             if not np.all(np.isfinite(mat)):
                 raise ValueError("gaussian payload entries must be finite")
-            mat.setflags(write=False)
-            object.__setattr__(self, "matrix", mat)
+            object.__setattr__(self, "matrix", _frozen(mat, self.matrix))
 
 
 def sample_bounded_orthogonal(
@@ -135,19 +142,38 @@ def sample_bounded_orthogonal(
         raise ValueError(f"bounded orthogonal kinds are fourier/hadamard, got {kind!r}")
     gen = as_generator(rng)
     indices = gen.integers(0, d, size=M)
+    indices.setflags(write=False)  # so the source keeps it without a copy
     return RowSource(kind=kind, d=d, M=M, indices=indices)
 
 
 def sample_partial_circulant(d: int, M: int, rng: int | np.random.Generator) -> RowSource:
     """Draw eps uniform over {+-1}^d; the row set is fixed to {0, ..., M-1}."""
-    return RowSource(kind="partial_circulant", d=d, M=M, eps=signs(as_generator(rng), d))
+    eps = signs(as_generator(rng), d)
+    eps.setflags(write=False)  # so the source keeps it without a copy
+    return RowSource(kind="partial_circulant", d=d, M=M, eps=eps)
 
 
 def sample_dense_gaussian(d: int, M: int, rng: int | np.random.Generator) -> RowSource:
     """Unstructured i.i.d. N(0, 1) baseline used as an experimental control."""
     gen = as_generator(rng)
     matrix = gen.standard_normal((M, d))
+    matrix.setflags(write=False)  # so the source keeps it without a copy
     return RowSource(kind="dense_gaussian", d=d, M=M, matrix=matrix)
+
+
+def _frozen(value: np.ndarray, given) -> np.ndarray:
+    """``value``, the validated form of ``given``, made read-only for an operator to keep.
+
+    A writeable array that shares memory with ``given`` (the caller's own,
+    which needed no conversion) is copied first, so the caller's later
+    writes cannot reach the operator and the caller's array stays
+    writeable.  A fresh conversion is kept as it is, and so is an array
+    that is already read-only, as the samplers hand theirs over, at no copy.
+    """
+    if value.flags.writeable and np.may_share_memory(value, given):
+        value = value.copy()
+    value.setflags(write=False)
+    return value
 
 
 def _indices(values, d: int, what: str) -> np.ndarray:
@@ -170,19 +196,47 @@ def _check_last_axis(x: np.ndarray, length: int, what: str) -> np.ndarray:
     return x
 
 
-def _conj_eps_half_spectrum(src: RowSource) -> np.ndarray:
-    """conj(rfft(eps)): the d/2 + 1 bins of the circulant kernel, read both ways.
+def _circulant_blocks(src: RowSource) -> tuple[int, int]:
+    """(P, L): the block length and FFT length of a circulant source's convolution.
 
-    The one spectrum a circulant source keeps, cached on the (immutable)
-    source and read by ``apply_rows`` and ``apply_rows_adjoint``; a
-    first-use race recomputes the same value.
+    With P = next_pow2(M), d >= ``_CIRCULANT_BLOCKED_FROM`` and at least
+    ``_CIRCULANT_MIN_BLOCKS`` blocks (d/P), x is cut into d/P blocks of
+    length P, each convolved at length L = 2P, zero-padded, so the M kept
+    outputs cost no length-d inverse transform.  Otherwise there is one
+    block, P = L = d: the cyclic convolution itself.
     """
-    half = getattr(src, "_conj_half_spectrum", None)
-    if half is None:
-        half = np.conj(np.fft.rfft(src.eps))
-        half.setflags(write=False)
-        object.__setattr__(src, "_conj_half_spectrum", half)
-    return half
+    P = next_power_of_two(src.M)
+    if src.d >= _CIRCULANT_BLOCKED_FROM and _CIRCULANT_MIN_BLOCKS * P <= src.d:
+        return P, 2 * P
+    return src.d, src.d
+
+
+def _conj_eps_spectra(src: RowSource) -> np.ndarray:
+    """The conjugate block spectra of the circulant kernel, shape (d/P, L/2 + 1).
+
+    Row b is conj(K_b), K_b the length-L real spectrum of eps's
+    (2P - 1)-entry window around -bP: K_b = G_{-b} + (-1)^f G_{-b-1} at
+    bin f, where G_a is the ``rfft`` of eps's a-th length-P block
+    zero-padded to L (the (-1)^f shifts block -b-1 by P = L/2).  About 16d
+    bytes with blocks, and with one block conj(rfft(eps)), 8d bytes.  The
+    one spectrum a circulant source keeps: eps is transformed once,
+    cached on the (immutable) source and read by ``apply_rows`` and
+    ``apply_rows_adjoint``; a first-use race recomputes the same value.
+    """
+    spectra = getattr(src, "_conj_spectra", None)
+    if spectra is None:
+        P, L = _circulant_blocks(src)
+        spectra = np.fft.rfft(src.eps.reshape(-1, P), L)
+        if L > P:
+            n = len(spectra)
+            later = spectra[::-1]  # G_{-b-1} in row b
+            spectra = spectra[-np.arange(n) % n]  # G_{-b} in row b, a copy
+            spectra[:, ::2] += later[:, ::2]
+            spectra[:, 1::2] -= later[:, 1::2]
+        np.conjugate(spectra, out=spectra)
+        spectra.setflags(write=False)
+        object.__setattr__(src, "_conj_spectra", spectra)
+    return spectra
 
 
 @lru_cache(maxsize=4)
@@ -219,10 +273,14 @@ def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
     """Compute A @ x along the last axis in O(d log d), as complex128.
 
     Fourier/Hadamard sources run the full transform and gather the
-    sampled rows; circulant sources convolve with eps (one ``rfft`` and one
-    ``irfft`` per row, against the cached kernel spectrum) and keep the
-    first M entries; Gaussian sources multiply by the real matrix.  These keep
-    real input real, so only the M gathered rows are cast to complex128.
+    sampled rows; circulant sources convolve with eps and keep the first
+    M entries, in d/P blocks of P = next_pow2(M) where the block rule
+    allows (``_circulant_blocks``: d/P block ``rfft`` rows of length 2P,
+    products with the cached block spectra summed over blocks, one
+    ``irfft`` of length 2P per row), otherwise as one length-d ``rfft``
+    and ``irfft`` per row; Gaussian sources multiply by the real matrix.
+    These keep real input real, so only the M gathered rows are cast to
+    complex128.
     Circulant and Gaussian sources map complex input part by part, so a
     zero imaginary part stays exactly zero, as it does through ``fwht``.
     The result is a fresh C-contiguous array, and each of its rows is
@@ -236,16 +294,24 @@ def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
     elif src.kind == "dense_gaussian":
         y = _by_parts(lambda v: _gaussian_rows(src.matrix, v), x)
     else:
-        half = _conj_eps_half_spectrum(src)
+        conj_k = _conj_eps_spectra(src)
+        P, L = _circulant_blocks(src)
 
         def convolve(v):
-            # conj(conj(v_hat) * conj(eps_hat)) is exactly v_hat * eps_hat, and
-            # both conjugations run in place on the row's own spectrum.
-            spectrum = np.fft.rfft(np.asarray(v, dtype=np.float64))
-            np.conjugate(spectrum, out=spectrum)
-            spectrum *= half
-            np.conjugate(spectrum, out=spectrum)
-            return np.fft.irfft(spectrum, src.d)[..., : src.M]
+            # Sum over blocks of x_hat_b * K_b, as conj(sum conj(x_hat_b) *
+            # conj(K_b)), every step in place on the row's own spectra; with
+            # one block that is exactly x_hat * eps_hat.  The blocks are
+            # summed pairwise, by halves, so rounding grows with log(d/P).
+            v = np.asarray(v, dtype=np.float64)
+            spectra = np.fft.rfft(v.reshape(v.shape[:-1] + (src.d // P, P)), L)
+            np.conjugate(spectra, out=spectra)
+            spectra *= conj_k
+            while spectra.shape[-2] > 1:
+                n = spectra.shape[-2] // 2
+                spectra[..., :n, :] += spectra[..., n:, :]
+                spectra = spectra[..., :n, :]
+            spectrum = np.conjugate(spectra[..., 0, :], out=spectra[..., 0, :])
+            return np.fft.irfft(spectrum, L)[..., : src.M]
 
         y = _by_parts(convolve, x)
     return y.astype(np.complex128, copy=False)
@@ -257,7 +323,10 @@ def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
     Real input on a real source (Hadamard, circulant, Gaussian) stays
     real and returns float64; Fourier sources and complex input return
     complex128.  Circulant and Gaussian sources map complex input part by
-    part, so a zero imaginary part stays exactly zero.  As in
+    part, so a zero imaginary part stays exactly zero.  A circulant row
+    costs one ``rfft`` of length L and d/P ``irfft`` rows of length L
+    against the cached conjugate block spectra, P entries kept of each
+    (with one block, P = L = d: one length-d ``irfft``).  As in
     ``apply_rows``, each row is computed on its own.
     """
     y = _check_last_axis(y, src.M, "apply_rows_adjoint")
@@ -278,13 +347,18 @@ def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
             return np.fft.ifft(w, norm="forward", out=w)
         return fwht(w)
     if src.kind == "partial_circulant":
-        # Correlation with eps == convolution with the index-reversed eps,
-        # whose spectrum is the conjugate spectrum (eps is real).  rfft
-        # zero-pads y to d.  np.multiply, not *: see ``circular_convolve``.
-        half = _conj_eps_half_spectrum(src)
-        return _by_parts(
-            lambda v: np.fft.irfft(np.multiply(half, np.fft.rfft(v, src.d)), src.d), y
-        )
+        # Correlation with eps: block b of the output is the first P entries
+        # of the length-L correlation of y with block b of the kernel, whose
+        # spectrum is the conjugate one (eps is real).  rfft zero-pads y to
+        # L.  np.multiply, not *: see ``circular_convolve``.
+        conj_k = _conj_eps_spectra(src)
+        P, L = _circulant_blocks(src)
+
+        def correlate(v):
+            spectra = np.multiply(conj_k, np.fft.rfft(v, L)[..., None, :])
+            return np.fft.irfft(spectra, L)[..., :P].reshape(v.shape[:-1] + (src.d,))
+
+        return _by_parts(correlate, y)
     # One (1 x M) @ (M x d) product per row, as in ``_gaussian_rows``.
     return _by_parts(lambda v: np.matmul(v[..., None, :], src.matrix)[..., 0, :], y)
 

@@ -20,6 +20,7 @@ import numpy as np
 from fastsketch.ensembles import (
     DENSIFY_CAP,
     _check_last_axis,
+    _frozen,
     _indices,
     _source_block,
     RowSource,
@@ -68,7 +69,11 @@ def _row_blocks(n: int, d: int) -> list[slice]:
 
 @dataclass(frozen=True)
 class SketchOperator:
-    """Immutable sketch: row source with M = m*B rows plus an m x B sign table."""
+    """Immutable sketch: row source with M = m*B rows plus an m x B sign table.
+
+    The sign table is kept read-only; a writeable array the caller passed
+    is copied, so the caller's array stays writeable.
+    """
 
     source: RowSource
     signs: np.ndarray
@@ -85,8 +90,7 @@ class SketchOperator:
             raise ValueError(
                 f"source has {self.source.M} rows but sign table implies m*B = {m * B}"
             )
-        signs.setflags(write=False)
-        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "signs", _frozen(signs, self.signs))
 
     @property
     def d(self) -> int:
@@ -125,6 +129,7 @@ def build_sketch(d: int, m: int, B: int, kind: str, seed: int) -> SketchOperator
     else:
         source = sample_dense_gaussian(d, M, rows_seed)
     table = signs(stream(derive_seed(seed, 0, "signs")), (m, B))
+    table.setflags(write=False)  # so the operator keeps it without a copy
     return SketchOperator(source=source, signs=table, seed=seed)
 
 

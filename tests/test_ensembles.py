@@ -231,9 +231,11 @@ def test_adjoint_scatter_accumulates_duplicates():
 @pytest.mark.parametrize("batch", [(), (3,)], ids=["1-D", "batched"])
 @pytest.mark.parametrize("d", [2**6, 2**14, 2**16])
 def test_circulant_adjoint_reads_the_conjugate_half_spectrum_exactly(d, batch):
-    # The cached conj(rfft(eps)) gives exactly the product formed from the
-    # first d/2 + 1 bins of the full DFT of eps; complex input goes by parts.
-    src = sample_partial_circulant(d, 40, 67)
+    # With one block (M = 3d/8: fewer than 16 blocks of next_pow2(M)) the cached
+    # conj(rfft(eps)) gives exactly the product formed from the first
+    # d/2 + 1 bins of the full DFT of eps; complex input goes by parts.
+    src = sample_partial_circulant(d, 3 * d // 8, 67)
+    assert ensembles._circulant_blocks(src) == (d, d)
     half = np.conj(dft(src.eps)[: d // 2 + 1])
 
     def reference(v):
@@ -249,14 +251,72 @@ def test_circulant_adjoint_reads_the_conjugate_half_spectrum_exactly(d, batch):
 
 @pytest.mark.parametrize("d", [2**10, 2**16])
 def test_circulant_rows_are_circular_convolve_exactly(d):
-    # Both multiply x_hat by eps_hat in that order, below and above the size
-    # (256 KB of spectrum, d = 2^15) at which numpy would elide a temporary.
-    src = sample_partial_circulant(d, 40, 83)
+    # With one block (M = 3d/8), both multiply x_hat by eps_hat in that order,
+    # below and above the size (256 KB of spectrum, d = 2^15) at which numpy
+    # would elide a temporary.
+    src = sample_partial_circulant(d, 3 * d // 8, 83)
+    assert ensembles._circulant_blocks(src) == (d, d)
     x = np.random.default_rng(89).standard_normal((3, d))
     for v in (x, x[1]):
         got = apply_rows(src, v)
         assert np.array_equal(got.real, circular_convolve(src.eps, v)[..., : src.M])
         assert not np.any(got.imag)
+
+
+def test_circulant_block_rule():
+    # Blocks of P = next_pow2(M) from d = 2^16 on, and only 16 or more of them.
+    def blocks(d, M):
+        P, L = ensembles._circulant_blocks(RowSource("circulant", d, M, eps=np.ones(d)))
+        return d // P if L == 2 * P else 1
+
+    assert blocks(2**15, 40) == 1 and blocks(2**15, 2048) == 1
+    assert blocks(2**16, 40) == 1024 and blocks(2**16, 4096) == 16
+    assert blocks(2**16, 4097) == 1 and blocks(2**16, 2**16) == 1
+    assert blocks(2**18, 6400) == 32 and blocks(2**17, 8193) == 1
+
+
+@pytest.mark.parametrize(
+    "M, blocks",
+    [(40, 64), (100, 32), (129, 16), (256, 16), (257, 1), (512, 1)],
+    ids=["M40", "M100", "M129-16P=d", "M256-16P=d", "M257-16P=2d", "M512-16P=2d"],
+)
+def test_circulant_blocks_match_densified(monkeypatch, M, blocks):
+    # d = 2^12, with the rule's lower bound on d moved to 2^12 so the dense
+    # matrix stays small, on both sides of the 16-block bound: forward and
+    # adjoint, real and complex, batched, against the dense matrix; the
+    # cache holds one spectrum row per block.
+    d = 2**12
+    monkeypatch.setattr(ensembles, "_CIRCULANT_BLOCKED_FROM", d)
+    src = sample_partial_circulant(d, M, 107)
+    P, L = ensembles._circulant_blocks(src)
+    assert d // P == blocks and L == (2 * P if blocks > 1 else d)
+    dense = densify(src)
+    rng = np.random.default_rng(M)
+    x = rng.standard_normal((2, 3, d))
+    y = rng.standard_normal((2, 3, M))
+    for v, w in ((x, y), (x + 1j * rng.standard_normal(x.shape), y + 1j * rng.standard_normal(y.shape))):
+        np.testing.assert_allclose(apply_rows(src, v), v @ dense.T, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(apply_rows_adjoint(src, w), w @ np.conj(dense), rtol=0, atol=1e-10)
+    assert apply_rows_adjoint(src, y).dtype == np.float64
+    assert ensembles._conj_eps_spectra(src).shape == (blocks, L // 2 + 1)
+
+
+@pytest.mark.parametrize("d, M", [(2**16, 100), (2**16, 4096), (2**17, 6400)])
+def test_circulant_blocks_match_one_block_at_scale(monkeypatch, d, M):
+    # At the rule's own sizes: the blocked convolution against the length-d
+    # one on a source with the same eps, within rounding, both directions.
+    src = sample_partial_circulant(d, M, 109)
+    assert ensembles._circulant_blocks(src) != (d, d)
+    rng = np.random.default_rng(d + M)
+    x = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+    y = rng.standard_normal((2, M)) + 1j * rng.standard_normal((2, M))
+    with monkeypatch.context() as patch:
+        patch.setattr(ensembles, "_CIRCULANT_BLOCKED_FROM", 2 * d)
+        one = RowSource("circulant", d, M, eps=src.eps)
+        assert ensembles._circulant_blocks(one) == (d, d)
+        want_x, want_y = apply_rows(one, x), apply_rows_adjoint(one, y)
+    for got, want in ((apply_rows(src, x), want_x), (apply_rows_adjoint(src, y), want_y)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_gaussian_rows_run_the_same_products_over_partial_chunks(monkeypatch):

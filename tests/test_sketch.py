@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fastsketch import sketch
+from fastsketch import ensembles, sketch
 from fastsketch.ensembles import RowSource, densify
 from fastsketch.jl import jl_embed
+from fastsketch.rng import signs as draw_signs
 from fastsketch.sketch import (
     SketchOperator,
     apply,
@@ -83,6 +84,57 @@ def test_invalid_shapes_rejected():
         SketchOperator(source=src, signs=np.ones((2, 3)))
     with pytest.raises(ValueError, match=r"\+1 or -1"):
         SketchOperator(source=src, signs=np.full((2, 2), 0.5))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_caller_arrays_stay_writeable_and_private(kind):
+    # A payload or sign table given as a writeable array that needs no
+    # conversion is copied, not frozen: the caller may write to it, and
+    # that does not reach the operator.
+    built = build_sketch(64, 4, 8, kind, seed=29)
+    field = {"fourier": "indices", "hadamard": "indices", "circulant": "eps"}.get(kind, "matrix")
+    payload = np.array(getattr(built.source, field))
+    table = np.array(built.signs)
+    op = SketchOperator(RowSource(kind, 64, 32, **{field: payload}), signs=table)
+    x = np.random.default_rng(31).standard_normal(64)
+    before = apply(op, x)
+    assert payload.flags.writeable and table.flags.writeable
+    payload[...] = payload[::-1] if kind in ("fourier", "hadamard") else -payload
+    table *= -1.0
+    assert np.array_equal(apply(op, x), before)
+    assert not (getattr(op.source, field).flags.writeable or op.signs.flags.writeable)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_built_operators_keep_their_samplers_arrays(kind):
+    # The samplers and build_sketch freeze the arrays they draw, so the
+    # operator keeps them as they are, and a read-only array is not copied.
+    op = build_sketch(64, 4, 8, kind, seed=37)
+    payload = next(a for a in (op.source.indices, op.source.eps, op.source.matrix) if a is not None)
+    assert not (payload.flags.writeable or op.signs.flags.writeable)
+    assert SketchOperator(op.source, signs=op.signs).signs is op.signs
+    field = {"fourier": "indices", "hadamard": "indices", "circulant": "eps"}.get(kind, "matrix")
+    assert getattr(RowSource(kind, 64, 32, **{field: payload}), field) is payload
+
+
+def test_build_sketch_copies_neither_the_gaussian_matrix_nor_the_sign_table(monkeypatch):
+    # The M x d Gaussian matrix is the payload a copy would cost most: the
+    # build's peak stays near one matrix.  The sign table is the drawn array.
+    drawn = []
+
+    def recorded_signs(gen, shape):
+        drawn.append(draw_signs(gen, shape))
+        return drawn[-1]
+
+    monkeypatch.setattr(sketch, "signs", recorded_signs)
+    tracemalloc.start()
+    try:
+        op = build_sketch(2**12, 16, 4, "gaussian", seed=41)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * op.source.matrix.nbytes
+    assert op.signs is drawn[0]
 
 
 # ---------------------------------------------------------------------------
@@ -216,34 +268,39 @@ def test_linearity_in_scale():
 
 def test_batched_apply_matches_loop(monkeypatch):
     # Blocks of 3 rows, so the 8-row batch runs as 3 + 3 + 2; every row must
-    # come out bit-identical to the row applied on its own.
-    monkeypatch.setattr(sketch, "_ROW_BLOCK_ENTRIES", 3 * 64)
+    # come out bit-identical to the row applied on its own.  Circulant at
+    # d = 2^16 convolves in 2048 blocks and Hadamard at 2^16 runs the
+    # blocked fwht; the rest run at d = 64.
     rng = np.random.default_rng(15)
-    for kind in ALL_KINDS:
-        op = build_sketch(64, 4, 8, kind, seed=53)
-        for xs in (rng.standard_normal((8, 64)), random_complex(rng, 8 * 64).reshape(8, 64)):
+    for kind, d in [(kind, 64) for kind in ALL_KINDS] + [("circulant", 2**16), ("hadamard", 2**16)]:
+        monkeypatch.setattr(sketch, "_ROW_BLOCK_ENTRIES", 3 * d)
+        op = build_sketch(d, 4, 8, kind, seed=53)
+        for xs in (rng.standard_normal((8, d)), random_complex(rng, 8 * d).reshape(8, d)):
             batched = apply(op, xs)
             assert batched.shape == (8, op.m) and batched.dtype == np.complex128
             for i in range(8):
                 np.testing.assert_array_equal(batched[i], apply(op, xs[i]))
-            np.testing.assert_array_equal(apply(op, xs.reshape(2, 4, 64)), batched.reshape(2, 4, -1))
+            np.testing.assert_array_equal(apply(op, xs.reshape(2, 4, d)), batched.reshape(2, 4, -1))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_batched_adjoint_matches_loop(kind):
     # Every row of a batched adjoint is bit-identical to the row on its own.
-    # Circulant runs at d = 2^16, where numpy would elide the temporary of a
-    # lone row's spectrum product and swap its operands.
-    d = {"circulant": 2**16, "gaussian": 2**10}.get(kind, 2**8)
-    op = build_sketch(d, 32, 8, kind, seed=55)
+    # Circulant runs at d = 2^16 with M = 256 (256 blocks) and with M = 20480
+    # (one block, where numpy would elide the temporary of a lone row's
+    # spectrum product and swap its operands); Hadamard at 2^16 runs the
+    # blocked fwht.
+    d = {"circulant": 2**16, "gaussian": 2**10, "hadamard": 2**16}.get(kind, 2**8)
     rng = np.random.default_rng(17)
-    for zs in (rng.standard_normal((5, op.m)), random_complex(rng, 5 * op.m).reshape(5, op.m)):
-        batched = apply_adjoint(op, zs)
-        assert batched.shape == (5, op.d)
-        for i in range(5):
-            np.testing.assert_array_equal(batched[i], apply_adjoint(op, zs[i]))
-        np.testing.assert_array_equal(apply_adjoint(op, zs[:4].reshape(2, 2, -1)),
-                                      batched[:4].reshape(2, 2, -1))
+    for m in (32, 2560) if kind == "circulant" else (32,):
+        op = build_sketch(d, m, 8, kind, seed=55)
+        for zs in (rng.standard_normal((5, op.m)), random_complex(rng, 5 * op.m).reshape(5, op.m)):
+            batched = apply_adjoint(op, zs)
+            assert batched.shape == (5, op.d)
+            for i in range(5):
+                np.testing.assert_array_equal(batched[i], apply_adjoint(op, zs[i]))
+            np.testing.assert_array_equal(apply_adjoint(op, zs[:4].reshape(2, 2, -1)),
+                                          batched[:4].reshape(2, 2, -1))
 
 
 def test_row_blocks_cover_the_batch_in_order():
@@ -385,23 +442,32 @@ def count_fft_rows(monkeypatch, names):
 
 
 def test_circulant_transforms_each_row_once_and_eps_once_per_source(monkeypatch):
-    # Counts the rows that go through np.fft.rfft and np.fft.irfft: eps is
-    # transformed once per source, for both directions, and every input row
-    # costs one rfft and one irfft, however the batch is split into blocks.
+    # Counts the rows that go through np.fft.rfft and np.fft.irfft.  eps is
+    # transformed once per source, for both directions, as d/P block rows;
+    # a forward row costs d/P block rfft rows and one irfft, an adjoint row
+    # one rfft and d/P irfft rows, however the batch is split into blocks.
+    # The rule's lower bound on d is moved to 2^10: with M = 32 there are 32
+    # blocks of P = 32; with M = 320 (2 blocks of 512, under the rule's 16)
+    # one block of d, as one rfft and one irfft per row.
     counts = count_fft_rows(monkeypatch, ("rfft", "irfft"))
     monkeypatch.setattr(sketch, "_ROW_BLOCK_ENTRIES", 3 * 2**10)
-    op = build_sketch(2**10, 8, 4, "circulant", seed=151)
-    points = np.random.default_rng(157).standard_normal((5, op.d))
-    jl_embed(op, points, seed=163)
-    assert counts == {"rfft": 5 + 1, "irfft": 5}
-    jl_embed(op, points, seed=163)
-    assert counts == {"rfft": 2 * 5 + 1, "irfft": 2 * 5}
-    apply_adjoint(op, np.ones((2, op.m)))
-    assert counts == {"rfft": 2 * 5 + 1 + 2, "irfft": 2 * 5 + 2}
-    cached = [v for name, v in vars(op.source).items() if isinstance(v, np.ndarray)
-              and name not in ("indices", "eps", "matrix")]
-    assert len(cached) == 1
-    assert cached[0].shape == (op.d // 2 + 1,) and cached[0].dtype == np.complex128
+    monkeypatch.setattr(ensembles, "_CIRCULANT_BLOCKED_FROM", 2**10)
+    points = np.random.default_rng(157).standard_normal((5, 2**10))
+    for m, blocks in ((8, 32), (80, 1)):
+        op = build_sketch(2**10, m, 4, "circulant", seed=151)
+        for name in counts:
+            counts[name] = 0
+        jl_embed(op, points, seed=163)
+        assert counts == {"rfft": (5 + 1) * blocks, "irfft": 5}
+        jl_embed(op, points, seed=163)
+        assert counts == {"rfft": (2 * 5 + 1) * blocks, "irfft": 2 * 5}
+        apply_adjoint(op, np.ones((2, op.m)))
+        assert counts == {"rfft": (2 * 5 + 1) * blocks + 2, "irfft": 2 * 5 + 2 * blocks}
+        cached = [v for name, v in vars(op.source).items() if isinstance(v, np.ndarray)
+                  and name not in ("indices", "eps", "matrix")]
+        assert len(cached) == 1 and cached[0].dtype == np.complex128
+        P = op.d // blocks
+        assert cached[0].shape == (blocks, (P + 1 if blocks > 1 else op.d // 2 + 1))
 
 
 def test_fourier_transforms_each_row_once(monkeypatch):

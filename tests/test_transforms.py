@@ -187,6 +187,32 @@ class TestFwht:
             parity = np.bitwise_count(np.bitwise_and.outer(rows, np.arange(n))) & 1
             np.testing.assert_allclose(out[:, rows], x @ (1.0 - 2.0 * parity).T, rtol=0, atol=atol)
 
+    @pytest.mark.parametrize("log_n", [15, 16, 17, 20])
+    def test_long_rows_match_sylvester_closed_form(self, log_n):
+        # At and above fwht's block (2^15) a row runs as H_{n/P} (x) H_P, with
+        # one outer factor at 2^16 and 2^17 and two at 2^20: a seeded sample of
+        # output entries against (-1)^popcount(i & j), real and complex.
+        n = 2**log_n
+        rng = np.random.default_rng(log_n)
+        x = np.vstack([rng.standard_normal((2, n)), random_complex(rng, n)])
+        out = np.vstack([fwht(x[:2].real), fwht(x[2:])])
+        atol = 1e-12 * np.abs(x).sum(axis=-1).max()
+        for i in rng.choice(n, size=16, replace=False):
+            row = 1.0 - 2.0 * (np.bitwise_count(np.arange(n) & i) & 1)
+            np.testing.assert_allclose(out[:, i], x @ row, rtol=0, atol=atol)
+        twice = fwht(fwht(x))
+        assert np.abs(twice - n * x).max() <= 1e-10 * n * np.abs(x).max()
+
+    @pytest.mark.parametrize("n", [2**10, 2**15, 2**17])
+    def test_batched_rows_match_single(self, n):
+        # Below, at and above the block: every row of a 2-D and a 3-D batch is
+        # transformed exactly as on its own.
+        x = np.random.default_rng(n).standard_normal((2, 3, n))
+        batch = fwht(x)
+        for pos in np.ndindex(2, 3):
+            assert np.array_equal(batch[pos], fwht(x[pos]))
+        assert np.array_equal(fwht(x[0]), batch[0])
+
     @pytest.mark.parametrize(
         "dtype, expected",
         [
