@@ -24,6 +24,7 @@ import numpy as np
 # ``apply`` is unused here but stays importable as ``recovery.apply``:
 # the tracer self-test in perfbench/ checks that alias.
 from fastsketch.sketch import SketchOperator, apply, apply_adjoint, columns  # noqa: F401
+from fastsketch.transforms import _frozen
 
 __all__ = [
     "SparseSignal",
@@ -37,7 +38,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SparseSignal:
-    """A d-dimensional vector stored as (support, values); no explicit zeros."""
+    """A d-dimensional vector stored as (support, values); no explicit zeros.
+
+    Both arrays are kept read-only; a writeable array the caller passed is
+    copied, so the caller's array stays writeable (``_frozen``).
+    """
 
     d: int
     support: np.ndarray
@@ -53,10 +58,8 @@ class SparseSignal:
                 raise ValueError("support must be strictly increasing indices in [0, d)")
             if np.any(vals == 0):
                 raise ValueError("explicit zeros are not stored in a SparseSignal")
-        supp.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "support", supp)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "support", _frozen(supp, self.support))
+        object.__setattr__(self, "values", _frozen(vals, self.values))
 
     @property
     def nnz(self) -> int:
@@ -207,8 +210,8 @@ class _Work:
 def _validated(op: SketchOperator, y: np.ndarray, k: int, max_iters: int, tol: float) -> np.ndarray:
     """Check a solver's arguments; return the measurements in the working dtype.
 
-    That is float64 when Phi is real (every kind but Fourier) and y has
-    no nonzero imaginary part, and complex128 otherwise.
+    That is float64 when Phi is real (``op.source.dtype``) and y has no
+    nonzero imaginary part, and complex128 otherwise.
     """
     y = np.asarray(y)
     if y.shape != (op.m,):
@@ -223,7 +226,7 @@ def _validated(op: SketchOperator, y: np.ndarray, k: int, max_iters: int, tol: f
         raise ValueError("max_iters must be at least 1")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    if op.source.kind == "partial_fourier" or np.any(np.imag(y)):
+    if op.source.dtype == np.complex128 or np.any(np.imag(y)):
         return y.astype(np.complex128, copy=False)
     return np.real(y).astype(np.float64, copy=False)
 

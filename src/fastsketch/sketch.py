@@ -20,7 +20,6 @@ import numpy as np
 from fastsketch.ensembles import (
     DENSIFY_CAP,
     _check_last_axis,
-    _frozen,
     _indices,
     _source_block,
     RowSource,
@@ -32,6 +31,7 @@ from fastsketch.ensembles import (
     sample_partial_circulant,
 )
 from fastsketch.rng import derive_seed, signs, stream
+from fastsketch.transforms import _frozen
 
 __all__ = [
     "SketchOperator",
@@ -197,8 +197,7 @@ def columns(op: SketchOperator, support: np.ndarray) -> np.ndarray:
     their float64 view (for Fourier, real and imaginary parts side by side).
     """
     support = _indices(support, op.d, "column indices")
-    fourier = op.source.kind == "partial_fourier"
-    out = np.empty((op.m,) + support.shape, dtype=np.complex128 if fourier else np.float64)
+    out = np.empty((op.m,) + support.shape, dtype=op.source.dtype)
     sums = out.reshape(op.m, support.size).view(np.float64)
     buckets = max(1, _BLOCK_ENTRIES // max(1, op.B * sums.shape[1]))
     for b0 in range(0, op.m, buckets):

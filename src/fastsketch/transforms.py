@@ -81,6 +81,21 @@ def dft(x: np.ndarray, direction: str = "forward") -> np.ndarray:
     return np.fft.ifft(y, out=y)
 
 
+def _frozen(value: np.ndarray, given) -> np.ndarray:
+    """``value``, the validated form of ``given``, made read-only for an object to keep.
+
+    A writeable array that shares memory with ``given`` (the caller's own,
+    which needed no conversion) is copied first, so the caller's later
+    writes cannot reach the object and the caller's array stays
+    writeable.  A fresh conversion is kept as it is, and so is an array
+    that is already read-only, as the samplers hand theirs over, at no copy.
+    """
+    if value.flags.writeable and np.may_share_memory(value, given):
+        value = value.copy()
+    value.setflags(write=False)
+    return value
+
+
 def _by_parts(real_op, x: np.ndarray) -> np.ndarray:
     """``real_op(x)`` for a real linear map ``real_op`` (real in, real out).
 
@@ -191,6 +206,8 @@ class ToeplitzSpec:
     """An n x n Toeplitz matrix given by its first row and first column.
 
     The shared corner entry must match exactly (checked at construction).
+    Both vectors are kept read-only as complex128; a writeable complex128
+    array the caller passed is copied (``_frozen``).
     """
 
     first_row: np.ndarray
@@ -207,10 +224,8 @@ class ToeplitzSpec:
             raise ValueError(
                 f"Toeplitz corner mismatch: first_row[0]={row[0]} != first_column[0]={col[0]}"
             )
-        row.setflags(write=False)
-        col.setflags(write=False)
-        object.__setattr__(self, "first_row", row)
-        object.__setattr__(self, "first_column", col)
+        object.__setattr__(self, "first_row", _frozen(row, self.first_row))
+        object.__setattr__(self, "first_column", _frozen(col, self.first_column))
 
     @property
     def n(self) -> int:

@@ -1,5 +1,8 @@
 """Row-ensemble sampling, fast application, and densified cross-checks."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,12 @@ from fastsketch.ensembles import (
 from fastsketch.transforms import circular_convolve, dft
 
 ALL_KINDS = ("fourier", "hadamard", "circulant", "gaussian")
+
+
+def block_rule(src):
+    """(P, L): the block and FFT lengths of a circulant source's plan."""
+    plan = ensembles._plan(src)
+    return plan.P, plan.L
 
 
 def sample_any(kind, d, M, rng):
@@ -235,7 +244,7 @@ def test_circulant_adjoint_reads_the_conjugate_half_spectrum_exactly(d, batch):
     # conj(rfft(eps)) gives exactly the product formed from the first
     # d/2 + 1 bins of the full DFT of eps; complex input goes by parts.
     src = sample_partial_circulant(d, 3 * d // 8, 67)
-    assert ensembles._circulant_blocks(src) == (d, d)
+    assert block_rule(src) == (d, d)
     half = np.conj(dft(src.eps)[: d // 2 + 1])
 
     def reference(v):
@@ -255,7 +264,7 @@ def test_circulant_rows_are_circular_convolve_exactly(d):
     # below and above the size (256 KB of spectrum, d = 2^15) at which numpy
     # would elide a temporary.
     src = sample_partial_circulant(d, 3 * d // 8, 83)
-    assert ensembles._circulant_blocks(src) == (d, d)
+    assert block_rule(src) == (d, d)
     x = np.random.default_rng(89).standard_normal((3, d))
     for v in (x, x[1]):
         got = apply_rows(src, v)
@@ -266,7 +275,7 @@ def test_circulant_rows_are_circular_convolve_exactly(d):
 def test_circulant_block_rule():
     # Blocks of P = next_pow2(M) from d = 2^16 on, and only 16 or more of them.
     def blocks(d, M):
-        P, L = ensembles._circulant_blocks(RowSource("circulant", d, M, eps=np.ones(d)))
+        P, L = block_rule(RowSource("circulant", d, M, eps=np.ones(d)))
         return d // P if L == 2 * P else 1
 
     assert blocks(2**15, 40) == 1 and blocks(2**15, 2048) == 1
@@ -288,7 +297,7 @@ def test_circulant_blocks_match_densified(monkeypatch, M, blocks):
     d = 2**12
     monkeypatch.setattr(ensembles, "_CIRCULANT_BLOCKED_FROM", d)
     src = sample_partial_circulant(d, M, 107)
-    P, L = ensembles._circulant_blocks(src)
+    P, L = block_rule(src)
     assert d // P == blocks and L == (2 * P if blocks > 1 else d)
     dense = densify(src)
     rng = np.random.default_rng(M)
@@ -298,7 +307,7 @@ def test_circulant_blocks_match_densified(monkeypatch, M, blocks):
         np.testing.assert_allclose(apply_rows(src, v), v @ dense.T, rtol=0, atol=1e-10)
         np.testing.assert_allclose(apply_rows_adjoint(src, w), w @ np.conj(dense), rtol=0, atol=1e-10)
     assert apply_rows_adjoint(src, y).dtype == np.float64
-    assert ensembles._conj_eps_spectra(src).shape == (blocks, L // 2 + 1)
+    assert ensembles._plan(src).conj_spectra.shape == (blocks, L // 2 + 1)
 
 
 @pytest.mark.parametrize("d, M", [(2**16, 100), (2**16, 4096), (2**17, 6400)])
@@ -306,17 +315,127 @@ def test_circulant_blocks_match_one_block_at_scale(monkeypatch, d, M):
     # At the rule's own sizes: the blocked convolution against the length-d
     # one on a source with the same eps, within rounding, both directions.
     src = sample_partial_circulant(d, M, 109)
-    assert ensembles._circulant_blocks(src) != (d, d)
+    assert block_rule(src) != (d, d)
     rng = np.random.default_rng(d + M)
     x = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
     y = rng.standard_normal((2, M)) + 1j * rng.standard_normal((2, M))
     with monkeypatch.context() as patch:
         patch.setattr(ensembles, "_CIRCULANT_BLOCKED_FROM", 2 * d)
         one = RowSource("circulant", d, M, eps=src.eps)
-        assert ensembles._circulant_blocks(one) == (d, d)
+        assert block_rule(one) == (d, d)
         want_x, want_y = apply_rows(one, x), apply_rows_adjoint(one, y)
     for got, want in ((apply_rows(src, x), want_x), (apply_rows_adjoint(src, y), want_y)):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("d", [2**p for p in range(4, 17)])
+def test_real_fourier_rows_are_the_dft_rows_exactly(d):
+    # Real input gathers from the half spectrum, folded and conjugated by
+    # the plan: exactly the rows of the mirrored full spectrum, for row 0,
+    # row d/2, rows on both sides of it, duplicates, 1-D and batched.
+    rng = np.random.default_rng(d)
+    indices = np.concatenate([[0, d // 2, d // 2 - 1, d // 2 + 1, d - 1, d - 1],
+                              rng.integers(0, d, size=26)])
+    src = RowSource("fourier", d, indices.size, indices=indices)
+    x = rng.standard_normal((2, 3, d))
+    for v in (x, x[0, 0]):
+        got = apply_rows(src, v)
+        assert got.dtype == np.complex128 and got.flags.c_contiguous
+        assert np.array_equal(got, np.take(dft(v), indices, axis=-1))
+    plan = ensembles._plan(src)
+    assert np.array_equal(plan.fold, np.minimum(indices, d - indices))
+    assert np.array_equal(plan.conj, indices > d // 2)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_one_plan_per_source_built_on_first_apply(kind):
+    # The plan is the source's one cache: densify and the dtype build none,
+    # the first product builds it, and both directions share it after that
+    # (a circulant adjoint that comes first builds it as well).
+    src = sample_any(kind, 2**8, 16, 113)
+    assert src._plan_cache is None
+    densify(src)
+    assert src.dtype == (np.complex128 if kind == "fourier" else np.float64)
+    assert src._plan_cache is None
+    apply_rows(src, np.ones((2, src.d)))
+    plan = src._plan_cache
+    assert plan is not None and ensembles._plan(src) is plan
+    apply_rows(src, np.ones(src.d) + 1j)
+    apply_rows_adjoint(src, np.ones(src.M))
+    apply_rows_adjoint(src, np.ones((2, src.M)) + 1j)
+    assert ensembles._plan(src) is plan
+    if kind == "circulant":
+        fresh = RowSource("circulant", src.d, src.M, eps=src.eps)
+        apply_rows_adjoint(fresh, np.ones(src.M))
+        assert fresh._plan_cache is not None
+    assert set(vars(src)) == {"kind", "d", "M", "indices", "eps", "matrix", "_plan_cache"}
+
+
+def test_threads_racing_to_build_one_plan_get_the_serial_results():
+    # Eight first uses of one fresh source on four threads at once, with a
+    # short switch interval: a thread may build the plan while another is
+    # building it, and the race recomputes the same value, so every result
+    # equals the serial one and the source keeps one plan afterwards.
+    rng = np.random.default_rng(151)
+    x = rng.standard_normal((2, 2**10))
+    y = rng.standard_normal((2, 64))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for kind in ("fourier", "circulant"):
+            src = sample_any(kind, 2**10, 64, 157)
+            want = (apply_rows(src, x), apply_rows_adjoint(src, y))
+            for _ in range(5):
+                fresh = sample_any(kind, 2**10, 64, 157)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [
+                        pool.submit(lambda: (apply_rows(fresh, x), apply_rows_adjoint(fresh, y)))
+                        for _ in range(8)
+                    ]
+                    results = [future.result(timeout=60) for future in futures]
+                for got in results:
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                plan = fresh._plan_cache
+                assert plan is not None and ensembles._plan(fresh) is plan
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "d, M, blocks",
+    [(2**16, 100, 512), (2**16, 4096, 16), (2**17, 6400, 16), (2**14, 3000, 1), (2**16, 4097, 1)],
+)
+def test_circulant_plan_spectra_are_the_conjugate_block_spectra_exactly(d, M, blocks):
+    # K_b = G_{-b} + (-1)^f G_{-b-1} at bin f, G_a the rfft of eps's a-th
+    # length-P block zero-padded to 2P; with one block, rfft(eps) itself.
+    src = sample_partial_circulant(d, M, 131)
+    plan = ensembles._plan(src)
+    P = d // blocks
+    assert (plan.P, plan.L) == ((P, 2 * P) if blocks > 1 else (d, d))
+    if blocks == 1:
+        want = np.fft.rfft(src.eps)[None, :]
+    else:
+        G = np.fft.rfft(src.eps.reshape(blocks, P), 2 * P)
+        even = np.arange(P + 1) % 2 == 0
+        want = np.array([
+            np.where(even, G[-b % blocks] + G[(-b - 1) % blocks], G[-b % blocks] - G[(-b - 1) % blocks])
+            for b in range(blocks)
+        ])
+    assert np.array_equal(plan.conj_spectra, np.conj(want))
+    assert not plan.conj_spectra.flags.writeable
+
+
+def test_fourier_products_build_no_roots_table():
+    # Only the closed-form columns read the roots table; a product at a d
+    # whose table was never built does not build it.
+    before = _roots_table.cache_info()
+    src = sample_bounded_orthogonal(2**13, 64, "fourier", 137)
+    rng = np.random.default_rng(139)
+    apply_rows(src, rng.standard_normal((2, src.d)))
+    apply_rows(src, rng.standard_normal(src.d) + 1j * rng.standard_normal(src.d))
+    apply_rows_adjoint(src, rng.standard_normal(src.M))
+    apply_rows_adjoint(src, rng.standard_normal(src.M) + 1j)
+    assert _roots_table.cache_info() == before
 
 
 def test_gaussian_rows_run_the_same_products_over_partial_chunks(monkeypatch):

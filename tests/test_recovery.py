@@ -105,6 +105,21 @@ class TestSparseSignal:
         assert s.nnz == 2
         np.testing.assert_array_equal(s.to_dense(), x)
 
+    def test_caller_arrays_stay_writeable_and_private(self):
+        # intp support and complex128 values need no conversion, so the signal
+        # keeps copies and the caller may go on writing to its own; read-only
+        # ones are kept as they are.
+        support = np.array([1, 3], dtype=np.intp)
+        values = np.array([2.0, -1.0 + 1j])
+        s = SparseSignal(d=4, support=support, values=values)
+        assert support.flags.writeable and values.flags.writeable
+        support[0] = 0
+        values *= 3.0
+        np.testing.assert_array_equal(s.to_dense(), [0.0, 2.0, 0.0, -1.0 + 1j])
+        assert not (s.support.flags.writeable or s.values.flags.writeable)
+        kept = SparseSignal(d=4, support=s.support, values=s.values)
+        assert kept.support is s.support and kept.values is s.values
+
 
 # ---------------------------------------------------------------------------
 # IHT

@@ -389,6 +389,16 @@ def test_columns_match_full_block_reference(kind, shape):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+def test_columns_build_no_plan(kind):
+    # Columns come from closed forms in the source's dtype, so reading them
+    # (as MC-RIP does, on operators it never applies) transforms no eps and
+    # builds no plan.
+    op = build_sketch(2**10, 8, 4, kind, seed=107)
+    assert columns(op, np.arange(5)).dtype == COLUMN_DTYPES[kind]
+    assert op.source._plan_cache is None
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_columns_peak_memory_is_a_few_outputs(kind):
     # The Gaussian source holds its whole M x d matrix, so it gets a smaller
     # d; the blocks ``columns`` builds do not depend on d.
@@ -443,7 +453,8 @@ def count_fft_rows(monkeypatch, names):
 
 def test_circulant_transforms_each_row_once_and_eps_once_per_source(monkeypatch):
     # Counts the rows that go through np.fft.rfft and np.fft.irfft.  eps is
-    # transformed once per source, for both directions, as d/P block rows;
+    # transformed once per source, into the plan that both directions read
+    # (the source's one cached attribute), as d/P block rows;
     # a forward row costs d/P block rfft rows and one irfft, an adjoint row
     # one rfft and d/P irfft rows, however the batch is split into blocks.
     # The rule's lower bound on d is moved to 2^10: with M = 32 there are 32
@@ -463,11 +474,13 @@ def test_circulant_transforms_each_row_once_and_eps_once_per_source(monkeypatch)
         assert counts == {"rfft": (2 * 5 + 1) * blocks, "irfft": 2 * 5}
         apply_adjoint(op, np.ones((2, op.m)))
         assert counts == {"rfft": (2 * 5 + 1) * blocks + 2, "irfft": 2 * 5 + 2 * blocks}
-        cached = [v for name, v in vars(op.source).items() if isinstance(v, np.ndarray)
-                  and name not in ("indices", "eps", "matrix")]
-        assert len(cached) == 1 and cached[0].dtype == np.complex128
+        cached = [v for name, v in vars(op.source).items()
+                  if name not in ("kind", "d", "M", "indices", "eps", "matrix")]
+        assert len(cached) == 1 and cached[0] is ensembles._plan(op.source)
+        spectra = cached[0].conj_spectra
+        assert spectra.dtype == np.complex128
         P = op.d // blocks
-        assert cached[0].shape == (blocks, (P + 1 if blocks > 1 else op.d // 2 + 1))
+        assert spectra.shape == (blocks, (P + 1 if blocks > 1 else op.d // 2 + 1))
 
 
 def test_fourier_transforms_each_row_once(monkeypatch):

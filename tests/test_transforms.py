@@ -350,6 +350,23 @@ class TestToeplitzMultiply:
         with pytest.raises(ValueError, match="length"):
             toeplitz_multiply(spec, np.zeros(8))
 
+    def test_caller_arrays_stay_writeable_and_private(self):
+        # complex128 vectors need no conversion, so the spec keeps copies and
+        # the caller may go on writing to its own; read-only ones are kept.
+        rng = np.random.default_rng(47)
+        row, col = random_complex(rng, 8), random_complex(rng, 8)
+        row[0] = col[0]
+        spec = ToeplitzSpec(first_row=row, first_column=col)
+        x = random_complex(rng, 8)
+        before = toeplitz_multiply(spec, x)
+        assert row.flags.writeable and col.flags.writeable
+        row *= 2.0
+        col *= 2.0
+        assert np.array_equal(toeplitz_multiply(spec, x), before)
+        assert not (spec.first_row.flags.writeable or spec.first_column.flags.writeable)
+        kept = ToeplitzSpec(first_row=spec.first_row, first_column=spec.first_column)
+        assert kept.first_row is spec.first_row and kept.first_column is spec.first_column
+
 
 def test_power_of_two_helpers():
     assert is_power_of_two(1) and is_power_of_two(64)
