@@ -82,9 +82,9 @@ class RowSource:
     orthogonal kinds, ``eps`` (+-1 vector, shape (d,)) for the circulant
     kind, ``matrix`` (shape (M, d)) for the Gaussian baseline.  The
     payload is kept read-only; a writeable array the caller passed is
-    copied, so the caller's array stays writeable (``_frozen``).  The
-    source's one cache is its transform plan (``_plan``), built on first
-    use.
+    copied, so the caller's array stays writeable (``_frozen``).  A
+    circulant source caches one transform plan (``_plan``), built on
+    first use; the other kinds cache nothing.
     """
 
     kind: str
@@ -93,14 +93,17 @@ class RowSource:
     indices: np.ndarray | None = None
     eps: np.ndarray | None = None
     matrix: np.ndarray | None = None
-    _plan_cache: _Plan | None = field(default=None, init=False, repr=False, compare=False)
+    _plan_cache: tuple[int, int, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def dtype(self) -> np.dtype:
         """The matrix's dtype, and so Phi's: complex128 for Fourier, float64 otherwise.
 
         A per-kind fact, so reading it builds no plan: ``sketch.columns``
-        and MC-RIP read it on sources that are never applied.
+        and MC-RIP read it on sources that are never applied, and the
+        solvers pick their working dtype by it.
         """
         return np.dtype(np.complex128 if self.kind == "partial_fourier" else np.float64)
 
@@ -186,7 +189,7 @@ def _check_last_axis(x: np.ndarray, length: int, what: str) -> np.ndarray:
     return x
 
 
-#: The circulant block rule (``_build_plan``): blocks from this d on, and only
+#: The circulant block rule (``_plan``): blocks from this d on, and only
 #: that many blocks or more.  Below either, the one length-d
 #: convolution was as fast or faster in one direction or both: with 4 or 8
 #: blocks at d = 2^14..2^20, and in the adjoint at d = 2^14 and 2^15 with up
@@ -195,81 +198,48 @@ _CIRCULANT_BLOCKED_FROM = 2**16
 _CIRCULANT_MIN_BLOCKS = 16
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """What a source's products need beyond its payload, decided once per source.
+def _plan(src: RowSource) -> tuple[int, int, np.ndarray]:
+    """A circulant source's transform plan (P, L, conj_spectra), built once.
 
-    ``apply_rows`` and ``apply_rows_adjoint`` read it; what it holds
-    depends on the kind:
+    With P = next_pow2(M), d >= ``_CIRCULANT_BLOCKED_FROM`` and at least
+    ``_CIRCULANT_MIN_BLOCKS`` blocks (d/P), x is cut into d/P blocks of
+    length P, each convolved at length L = 2P, zero-padded, so the M kept
+    outputs cost no length-d inverse transform.  Otherwise there is one
+    block, P = L = d: the cyclic convolution itself.
 
-    * Fourier: ``fold`` = min(i, d - i) for each sampled row i, and
-      ``conj`` = (i > d/2).  Real x has y_i = conj(y_{d-i}), so its rows
-      are gathered from the half spectrum ``rfft(x)`` at ``fold``,
-      conjugated where ``conj``; 9M bytes.
-    * Circulant: the block length ``P``, the FFT length ``L`` and
-      ``conj_spectra``, the conjugate block spectra of the kernel, shape
-      (d/P, L/2 + 1).  With P = next_pow2(M), d >= ``_CIRCULANT_BLOCKED_FROM``
-      and at least ``_CIRCULANT_MIN_BLOCKS`` blocks (d/P), x is cut into
-      d/P blocks of length P, each convolved at length L = 2P,
-      zero-padded, so the M kept outputs cost no length-d inverse
-      transform; about 16d bytes.  Otherwise there is one block,
-      P = L = d, the cyclic convolution itself, and ``conj_spectra`` is
-      conj(rfft(eps)); 8d bytes.  Row b is conj(K_b), K_b the length-L
-      real spectrum of eps's (2P - 1)-entry window around -bP:
-      K_b = G_{-b} + (-1)^f G_{-b-1} at bin f, where G_a is the ``rfft``
-      of eps's a-th length-P block zero-padded to L (the (-1)^f shifts
-      block -b-1 by P = L/2).
-    * Hadamard and Gaussian: nothing.
+    ``conj_spectra`` holds the conjugate block spectra of the kernel,
+    shape (d/P, L/2 + 1): about 16d bytes with blocks, and with one block
+    conj(rfft(eps)), 8d bytes.  Row b is conj(K_b), K_b the length-L real
+    spectrum of eps's (2P - 1)-entry window around -bP:
+    K_b = G_{-b} + (-1)^f G_{-b-1} at bin f, where G_a is the ``rfft`` of
+    eps's a-th length-P block zero-padded to L (the (-1)^f shifts block
+    -b-1 by P = L/2).
 
-    No plan holds the roots table (``_roots_table``), 16d bytes that only
-    ``_source_block`` reads and that Fourier sources of one d share.
-    """
-
-    fold: np.ndarray | None = None
-    conj: np.ndarray | None = None
-    P: int = 0
-    L: int = 0
-    conj_spectra: np.ndarray | None = None
-
-
-def _plan(src: RowSource) -> _Plan:
-    """The source's plan, built on first use and cached on the (immutable) source.
-
-    Both directions read this one plan, so eps is transformed once per
-    source, and only once the source is applied; a first-use race
-    recomputes the same value.
+    The plan is the one thing a source caches (``RowSource._plan_cache``):
+    eps is transformed once per source, by its first ``apply_rows`` or
+    ``apply_rows_adjoint``, and both directions read the same spectra; a
+    first-use race recomputes the same value.  The other kinds need no
+    plan.
     """
     plan = src._plan_cache
     if plan is None:
-        plan = _build_plan(src)
+        P = next_power_of_two(src.M)
+        if src.d >= _CIRCULANT_BLOCKED_FROM and _CIRCULANT_MIN_BLOCKS * P <= src.d:
+            L = 2 * P
+        else:
+            P = L = src.d
+        spectra = np.fft.rfft(src.eps.reshape(-1, P), L)
+        if L > P:
+            n = len(spectra)
+            later = spectra[::-1]  # G_{-b-1} in row b
+            spectra = spectra[-np.arange(n) % n]  # G_{-b} in row b, a copy
+            spectra[:, ::2] += later[:, ::2]
+            spectra[:, 1::2] -= later[:, 1::2]
+        np.conjugate(spectra, out=spectra)
+        spectra.setflags(write=False)
+        plan = (P, L, spectra)
         object.__setattr__(src, "_plan_cache", plan)
     return plan
-
-
-def _build_plan(src: RowSource) -> _Plan:
-    if src.kind == "partial_fourier":
-        fold = np.minimum(src.indices, src.d - src.indices)
-        conj = src.indices > src.d // 2
-        fold.setflags(write=False)
-        conj.setflags(write=False)
-        return _Plan(fold=fold, conj=conj)
-    if src.kind != "partial_circulant":
-        return _Plan()
-    P = next_power_of_two(src.M)
-    if src.d >= _CIRCULANT_BLOCKED_FROM and _CIRCULANT_MIN_BLOCKS * P <= src.d:
-        L = 2 * P
-    else:
-        P = L = src.d
-    spectra = np.fft.rfft(src.eps.reshape(-1, P), L)
-    if L > P:
-        n = len(spectra)
-        later = spectra[::-1]  # G_{-b-1} in row b
-        spectra = spectra[-np.arange(n) % n]  # G_{-b} in row b, a copy
-        spectra[:, ::2] += later[:, ::2]
-        spectra[:, 1::2] -= later[:, 1::2]
-    np.conjugate(spectra, out=spectra)
-    spectra.setflags(write=False)
-    return _Plan(P=P, L=L, conj_spectra=spectra)
 
 
 @lru_cache(maxsize=4)
@@ -305,35 +275,29 @@ def _gaussian_rows(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
 def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
     """Compute A @ x along the last axis in O(d log d), as complex128.
 
-    Fourier sources gather the sampled rows of x's spectrum: for real x
-    from the half spectrum ``rfft(x)``, folded and conjugated as the plan
-    says (``_plan``), exactly the rows of ``dft(x)``; for complex x from
-    ``dft(x)``.  Hadamard sources run ``fwht`` and gather.  Circulant
-    sources convolve with eps and keep the first M entries, in d/P blocks
-    of P = next_pow2(M) where the plan's block rule allows (d/P block
-    ``rfft`` rows of length 2P, products with the plan's block spectra
-    summed over blocks, one ``irfft`` of length 2P per row), otherwise as
-    one length-d ``rfft`` and ``irfft`` per row; Gaussian sources multiply
-    by the real matrix.  These keep real input real, so only the M
-    gathered rows are cast to complex128.
+    Fourier/Hadamard sources run the full transform and gather the
+    sampled rows; circulant sources convolve with eps and keep the first
+    M entries, in d/P blocks of P = next_pow2(M) where the block rule of
+    the source's plan allows (``_plan``: d/P block ``rfft`` rows of
+    length 2P, products with the plan's block spectra summed over blocks,
+    one ``irfft`` of length 2P per row), otherwise as one length-d
+    ``rfft`` and ``irfft`` per row; Gaussian sources multiply by the real
+    matrix.  These keep real input real, so only the M gathered rows are
+    cast to complex128.
     Circulant and Gaussian sources map complex input part by part, so a
     zero imaginary part stays exactly zero, as it does through ``fwht``.
     The result is a fresh C-contiguous array, and each of its rows is
     computed on its own, so it does not depend on the rows beside it.
     """
     x = _check_last_axis(x, src.d, "apply_rows")
-    plan = _plan(src)
     if src.kind == "partial_fourier":
-        if np.iscomplexobj(x):
-            return np.take(dft(x), src.indices, axis=-1)
-        y = np.take(np.fft.rfft(x.astype(np.float64, copy=False)), plan.fold, axis=-1)
-        return np.conjugate(y, out=y, where=plan.conj)
-    if src.kind == "partial_hadamard":
+        y = np.take(dft(x), src.indices, axis=-1)
+    elif src.kind == "partial_hadamard":
         y = np.take(fwht(x), src.indices, axis=-1)
     elif src.kind == "dense_gaussian":
         y = _by_parts(lambda v: _gaussian_rows(src.matrix, v), x)
     else:
-        P, L = plan.P, plan.L
+        P, L, conj_k = _plan(src)
 
         def convolve(v):
             # Sum over blocks of x_hat_b * K_b, as conj(sum conj(x_hat_b) *
@@ -343,7 +307,7 @@ def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
             v = np.asarray(v, dtype=np.float64)
             spectra = np.fft.rfft(v.reshape(v.shape[:-1] + (src.d // P, P)), L)
             np.conjugate(spectra, out=spectra)
-            spectra *= plan.conj_spectra
+            spectra *= conj_k
             while spectra.shape[-2] > 1:
                 n = spectra.shape[-2] // 2
                 spectra[..., :n, :] += spectra[..., n:, :]
@@ -389,11 +353,10 @@ def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
         # of the length-L correlation of y with block b of the kernel, whose
         # spectrum is the conjugate one (eps is real).  rfft zero-pads y to
         # L.  np.multiply, not *: see ``circular_convolve``.
-        plan = _plan(src)
-        P, L = plan.P, plan.L
+        P, L, conj_k = _plan(src)
 
         def correlate(v):
-            spectra = np.multiply(plan.conj_spectra, np.fft.rfft(v, L)[..., None, :])
+            spectra = np.multiply(conj_k, np.fft.rfft(v, L)[..., None, :])
             return np.fft.irfft(spectra, L)[..., :P].reshape(v.shape[:-1] + (src.d,))
 
         return _by_parts(correlate, y)

@@ -25,8 +25,8 @@ ALL_KINDS = ("fourier", "hadamard", "circulant", "gaussian")
 
 def block_rule(src):
     """(P, L): the block and FFT lengths of a circulant source's plan."""
-    plan = ensembles._plan(src)
-    return plan.P, plan.L
+    P, L, _ = ensembles._plan(src)
+    return P, L
 
 
 def sample_any(kind, d, M, rng):
@@ -307,7 +307,7 @@ def test_circulant_blocks_match_densified(monkeypatch, M, blocks):
         np.testing.assert_allclose(apply_rows(src, v), v @ dense.T, rtol=0, atol=1e-10)
         np.testing.assert_allclose(apply_rows_adjoint(src, w), w @ np.conj(dense), rtol=0, atol=1e-10)
     assert apply_rows_adjoint(src, y).dtype == np.float64
-    assert ensembles._plan(src).conj_spectra.shape == (blocks, L // 2 + 1)
+    assert ensembles._plan(src)[2].shape == (blocks, L // 2 + 1)
 
 
 @pytest.mark.parametrize("d, M", [(2**16, 100), (2**16, 4096), (2**17, 6400)])
@@ -328,47 +328,30 @@ def test_circulant_blocks_match_one_block_at_scale(monkeypatch, d, M):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("d", [2**p for p in range(4, 17)])
-def test_real_fourier_rows_are_the_dft_rows_exactly(d):
-    # Real input gathers from the half spectrum, folded and conjugated by
-    # the plan: exactly the rows of the mirrored full spectrum, for row 0,
-    # row d/2, rows on both sides of it, duplicates, 1-D and batched.
-    rng = np.random.default_rng(d)
-    indices = np.concatenate([[0, d // 2, d // 2 - 1, d // 2 + 1, d - 1, d - 1],
-                              rng.integers(0, d, size=26)])
-    src = RowSource("fourier", d, indices.size, indices=indices)
-    x = rng.standard_normal((2, 3, d))
-    for v in (x, x[0, 0]):
-        got = apply_rows(src, v)
-        assert got.dtype == np.complex128 and got.flags.c_contiguous
-        assert np.array_equal(got, np.take(dft(v), indices, axis=-1))
-    plan = ensembles._plan(src)
-    assert np.array_equal(plan.fold, np.minimum(indices, d - indices))
-    assert np.array_equal(plan.conj, indices > d // 2)
-
-
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_one_plan_per_source_built_on_first_apply(kind):
-    # The plan is the source's one cache: densify and the dtype build none,
-    # the first product builds it, and both directions share it after that
-    # (a circulant adjoint that comes first builds it as well).
+    # The plan is a circulant source's one cache: densify and the dtype
+    # build none, the first product builds it, and both directions share it
+    # after that (an adjoint that comes first builds it as well).  The
+    # other kinds cache nothing.
     src = sample_any(kind, 2**8, 16, 113)
-    assert src._plan_cache is None
     densify(src)
     assert src.dtype == (np.complex128 if kind == "fourier" else np.float64)
     assert src._plan_cache is None
     apply_rows(src, np.ones((2, src.d)))
     plan = src._plan_cache
-    assert plan is not None and ensembles._plan(src) is plan
+    assert (plan is not None) == (kind == "circulant")
     apply_rows(src, np.ones(src.d) + 1j)
     apply_rows_adjoint(src, np.ones(src.M))
     apply_rows_adjoint(src, np.ones((2, src.M)) + 1j)
-    assert ensembles._plan(src) is plan
+    assert src._plan_cache is plan
     if kind == "circulant":
+        assert ensembles._plan(src) is plan
         fresh = RowSource("circulant", src.d, src.M, eps=src.eps)
         apply_rows_adjoint(fresh, np.ones(src.M))
         assert fresh._plan_cache is not None
-    assert set(vars(src)) == {"kind", "d", "M", "indices", "eps", "matrix", "_plan_cache"}
+    extra = set(vars(src)) - {"kind", "d", "M", "indices", "eps", "matrix"}
+    assert extra == ({"_plan_cache"} if kind == "circulant" else set())
 
 
 def test_threads_racing_to_build_one_plan_get_the_serial_results():
@@ -379,24 +362,23 @@ def test_threads_racing_to_build_one_plan_get_the_serial_results():
     rng = np.random.default_rng(151)
     x = rng.standard_normal((2, 2**10))
     y = rng.standard_normal((2, 64))
+    src = sample_partial_circulant(2**10, 64, 157)
+    want = (apply_rows(src, x), apply_rows_adjoint(src, y))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for kind in ("fourier", "circulant"):
-            src = sample_any(kind, 2**10, 64, 157)
-            want = (apply_rows(src, x), apply_rows_adjoint(src, y))
-            for _ in range(5):
-                fresh = sample_any(kind, 2**10, 64, 157)
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    futures = [
-                        pool.submit(lambda: (apply_rows(fresh, x), apply_rows_adjoint(fresh, y)))
-                        for _ in range(8)
-                    ]
-                    results = [future.result(timeout=60) for future in futures]
-                for got in results:
-                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-                plan = fresh._plan_cache
-                assert plan is not None and ensembles._plan(fresh) is plan
+        for _ in range(5):
+            fresh = sample_partial_circulant(2**10, 64, 157)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(lambda: (apply_rows(fresh, x), apply_rows_adjoint(fresh, y)))
+                    for _ in range(8)
+                ]
+                results = [future.result(timeout=60) for future in futures]
+            for got in results:
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            plan = fresh._plan_cache
+            assert plan is not None and ensembles._plan(fresh) is plan
     finally:
         sys.setswitchinterval(interval)
 
@@ -409,20 +391,20 @@ def test_circulant_plan_spectra_are_the_conjugate_block_spectra_exactly(d, M, bl
     # K_b = G_{-b} + (-1)^f G_{-b-1} at bin f, G_a the rfft of eps's a-th
     # length-P block zero-padded to 2P; with one block, rfft(eps) itself.
     src = sample_partial_circulant(d, M, 131)
-    plan = ensembles._plan(src)
-    P = d // blocks
-    assert (plan.P, plan.L) == ((P, 2 * P) if blocks > 1 else (d, d))
+    P, L, spectra = ensembles._plan(src)
     if blocks == 1:
+        assert (P, L) == (d, d)
         want = np.fft.rfft(src.eps)[None, :]
     else:
-        G = np.fft.rfft(src.eps.reshape(blocks, P), 2 * P)
+        assert (P, L) == (d // blocks, 2 * d // blocks)
+        G = np.fft.rfft(src.eps.reshape(blocks, P), L)
         even = np.arange(P + 1) % 2 == 0
         want = np.array([
             np.where(even, G[-b % blocks] + G[(-b - 1) % blocks], G[-b % blocks] - G[(-b - 1) % blocks])
             for b in range(blocks)
         ])
-    assert np.array_equal(plan.conj_spectra, np.conj(want))
-    assert not plan.conj_spectra.flags.writeable
+    assert np.array_equal(spectra, np.conj(want))
+    assert not spectra.flags.writeable
 
 
 def test_fourier_products_build_no_roots_table():
