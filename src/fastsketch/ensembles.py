@@ -83,8 +83,9 @@ class RowSource:
     kind, ``matrix`` (shape (M, d)) for the Gaussian baseline.  The
     payload is kept read-only; a writeable array the caller passed is
     copied, so the caller's array stays writeable (``_frozen``).  A
-    circulant source caches one transform plan (``_plan``), built on
-    first use; the other kinds cache nothing.
+    circulant source, and a Fourier source from d = 2^17 that is applied
+    to real input, cache one transform plan (``_plan``), built on first
+    use; the other sources cache nothing.
     """
 
     kind: str
@@ -93,7 +94,7 @@ class RowSource:
     indices: np.ndarray | None = None
     eps: np.ndarray | None = None
     matrix: np.ndarray | None = None
-    _plan_cache: tuple[int, int, np.ndarray] | None = field(
+    _plan_cache: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -189,57 +190,94 @@ def _check_last_axis(x: np.ndarray, length: int, what: str) -> np.ndarray:
     return x
 
 
-#: The circulant block rule (``_plan``): blocks from this d on, and only
-#: that many blocks or more.  Below either, the one length-d
-#: convolution was as fast or faster in one direction or both: with 4 or 8
-#: blocks at d = 2^14..2^20, and in the adjoint at d = 2^14 and 2^15 with up
-#: to 64 blocks (2-core Xeon with 2 MB of L2 per core, numpy 2.4.6).
-_CIRCULANT_BLOCKED_FROM = 2**16
-_CIRCULANT_MIN_BLOCKS = 16
+#: The circulant block rule (``_plan``): blocks of P = min(d, 4 M') with
+#: M' = max(16, next_pow2(M)), each transformed at L = P + M'.  Of the
+#: ratios P/M' = 1..32, 4 took the least forward, adjoint and plan time
+#: summed over d = 2^10..2^20 and M = 1..6400.  The floor of 16 (P >= 64)
+#: took the one-row forward at M = 1 from 0.60 to 0.29 ms at d = 2^16 and
+#: from 11.1 to 5.6 ms at 2^20, against P = 4 at L = 5 (``BENCH_27.json``
+#: ``block_rules``; 2-core Xeon with 2 MB of L2 per core, numpy 2.4.6).
+_CIRCULANT_BLOCK_RATIO = 4
+_CIRCULANT_MIN_TAIL = 16
+
+#: The two-level Fourier forward (``_plan``): real input from this d on,
+#: as d/P length-P ``rfft`` columns, P = ``_FOURIER_BLOCK``.  At M = 4096, a
+#: four-row block (a batch's row block at d = 2^16) took 2.28 ms against
+#: 2.04 ms for ``dft`` and ``take``; at 2^17 two rows took 1.93 against
+#: 5.17 ms (``BENCH_27.json`` ``two_level_rule``; 2-core Xeon, numpy 2.4.6).
+#: Of P = 2^13..2^16, 2^15 read best at d = 2^18 and 2^20 (one row).
+_FOURIER_TWO_LEVEL_FROM = 2**17
+_FOURIER_BLOCK = 2**15
 
 
-def _plan(src: RowSource) -> tuple[int, int, np.ndarray]:
-    """A circulant source's transform plan (P, L, conj_spectra), built once.
+def _plan(src: RowSource) -> tuple:
+    """A source's transform plan, built once: circulant, or Fourier from d = 2^17.
 
-    With P = next_pow2(M), d >= ``_CIRCULANT_BLOCKED_FROM`` and at least
-    ``_CIRCULANT_MIN_BLOCKS`` blocks (d/P), x is cut into d/P blocks of
-    length P, each convolved at length L = 2P, zero-padded, so the M kept
-    outputs cost no length-d inverse transform.  Otherwise there is one
-    block, P = L = d: the cyclic convolution itself.
+    *Circulant*, (P, L, conj_spectra).  With M' = next_pow2(M), at least
+    ``_CIRCULANT_MIN_TAIL``, and P = min(d, ``_CIRCULANT_BLOCK_RATIO`` M'),
+    x is cut into d/P blocks of length P, each transformed at L = P + M'
+    (overlap-save), so the M kept outputs cost no length-d inverse
+    transform.  Row b of ``conj_spectra`` is conj(K_b), K_b the length-L
+    ``rfft`` of eps's window around -bP: eps[(s - bP) mod d] at each lag
+    s in [0, M') and [-P, 0), the latter stored at L + s.  The lags of a
+    block's kept outputs lie in (-P, M), so a cyclic convolution of
+    length L reads no wrapped entry.  When P = d, L = d as well, and the
+    one row is conj(rfft(eps)): the cyclic convolution itself.  The
+    spectra are (d/P, L/2 + 1) complex entries: about 10d bytes with
+    blocks, 8d with one.
 
-    ``conj_spectra`` holds the conjugate block spectra of the kernel,
-    shape (d/P, L/2 + 1): about 16d bytes with blocks, and with one block
-    conj(rfft(eps)), 8d bytes.  Row b is conj(K_b), K_b the length-L real
-    spectrum of eps's (2P - 1)-entry window around -bP:
-    K_b = G_{-b} + (-1)^f G_{-b-1} at bin f, where G_a is the ``rfft`` of
-    eps's a-th length-P block zero-padded to L (the (-1)^f shifts block
-    -b-1 by P = L/2).
+    *Fourier* at d >= ``_FOURIER_TWO_LEVEL_FROM``, (fold, conj_mask,
+    twiddles), for the two-level DFT of real input in ``apply_rows``:
+    with P = ``_FOURIER_BLOCK``, Q = d/P and r = i mod P, the sampled
+    row i reads bin min(r, P - r) (``fold``) of the half spectra,
+    conjugated where r > P/2 (``conj_mask``), against the (M, Q) table
+    ``twiddles`` of w_d^(iq), w_d = exp(-2 pi i / d).  The phases iq are
+    reduced mod d in integers, so no d-length roots table is built:
+    16 M Q + 9 M bytes.  A smaller Fourier source, and the other kinds,
+    build no plan.
 
-    The plan is the one thing a source caches (``RowSource._plan_cache``):
-    eps is transformed once per source, by its first ``apply_rows`` or
-    ``apply_rows_adjoint``, and both directions read the same spectra; a
-    first-use race recomputes the same value.  The other kinds need no
-    plan.
+    The plan is the one thing a source caches (``RowSource._plan_cache``),
+    built by its first ``apply_rows`` (or for a circulant source
+    ``apply_rows_adjoint``) that needs it; a circulant source's two
+    directions read the same spectra.  A first-use race recomputes the
+    same value.
     """
     plan = src._plan_cache
     if plan is None:
-        P = next_power_of_two(src.M)
-        if src.d >= _CIRCULANT_BLOCKED_FROM and _CIRCULANT_MIN_BLOCKS * P <= src.d:
-            L = 2 * P
-        else:
-            P = L = src.d
-        spectra = np.fft.rfft(src.eps.reshape(-1, P), L)
-        if L > P:
-            n = len(spectra)
-            later = spectra[::-1]  # G_{-b-1} in row b
-            spectra = spectra[-np.arange(n) % n]  # G_{-b} in row b, a copy
-            spectra[:, ::2] += later[:, ::2]
-            spectra[:, 1::2] -= later[:, 1::2]
-        np.conjugate(spectra, out=spectra)
-        spectra.setflags(write=False)
-        plan = (P, L, spectra)
+        plan = _circulant_plan(src) if src.kind == "partial_circulant" else _fourier_plan(src)
         object.__setattr__(src, "_plan_cache", plan)
     return plan
+
+
+def _circulant_plan(src: RowSource) -> tuple[int, int, np.ndarray]:
+    d, tail = src.d, max(_CIRCULANT_MIN_TAIL, next_power_of_two(src.M))
+    P = min(d, _CIRCULANT_BLOCK_RATIO * tail)
+    if P == d:
+        L, windows = d, src.eps.reshape(1, d)
+    else:
+        L = P + tail
+        # The runs of L entries of cyclic eps that start at -(b+1)P, lag -P
+        # first, rotated so that lag 0 comes first.
+        wrapped = np.concatenate((src.eps, src.eps[:tail]))
+        runs = np.lib.stride_tricks.sliding_window_view(wrapped, L)[::P][::-1]
+        windows = np.concatenate((runs[:, P:], runs[:, :P]), axis=1)
+    spectra = np.fft.rfft(windows, L)
+    np.conjugate(spectra, out=spectra)
+    spectra.setflags(write=False)
+    return P, L, spectra
+
+
+def _fourier_plan(src: RowSource) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    P, d = _FOURIER_BLOCK, src.d
+    rest = src.indices & (P - 1)
+    fold = np.minimum(rest, P - rest)
+    conj_mask = rest > P // 2
+    phase = np.multiply.outer(src.indices, np.arange(d // P))
+    phase &= d - 1
+    twiddles = np.exp((-2j * np.pi / d) * phase)
+    for array in (fold, conj_mask, twiddles):
+        array.setflags(write=False)
+    return fold, conj_mask, twiddles
 
 
 @lru_cache(maxsize=4)
@@ -272,18 +310,36 @@ def _gaussian_rows(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(v)[:-1] + (M,))
 
 
+def _two_level_dft(src: RowSource, x: np.ndarray) -> np.ndarray:
+    """The M sampled DFT rows of real x, y_i = sum_q w_d^(iq) Z_q[i mod P].
+
+    Z_q is the length-P DFT of x[q::Q], Q = d/P: one ``rfft`` along axis
+    -2 of x.reshape(P, Q), whose bin r > P/2 is the conjugate of bin P - r.
+    """
+    fold, conj_mask, twiddles = _plan(src)
+    rows = x.astype(np.float64, copy=False)
+    half = np.fft.rfft(rows.reshape(x.shape[:-1] + (_FOURIER_BLOCK, -1)), axis=-2)
+    terms = np.take(half, fold, axis=-2)
+    np.conjugate(terms, out=terms, where=conj_mask[:, None])
+    np.multiply(terms, twiddles, out=terms)
+    return terms.sum(axis=-1)
+
+
 def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
     """Compute A @ x along the last axis in O(d log d), as complex128.
 
     Fourier/Hadamard sources run the full transform and gather the
-    sampled rows; circulant sources convolve with eps and keep the first
-    M entries, in d/P blocks of P = next_pow2(M) where the block rule of
-    the source's plan allows (``_plan``: d/P block ``rfft`` rows of
-    length 2P, products with the plan's block spectra summed over blocks,
-    one ``irfft`` of length 2P per row), otherwise as one length-d
-    ``rfft`` and ``irfft`` per row; Gaussian sources multiply by the real
-    matrix.  These keep real input real, so only the M gathered rows are
-    cast to complex128.
+    sampled rows, except real input on a Fourier source with
+    d >= ``_FOURIER_TWO_LEVEL_FROM``: there the plan's two-level DFT
+    (``_plan``) runs d/P length-P ``rfft`` columns of x.reshape(P, d/P)
+    and sums the M gathered rows of bins against the plan's (M, d/P)
+    twiddles, with no d-length spectrum.  Circulant sources convolve with
+    eps and keep the first M entries, by the plan's overlap-save blocks:
+    d/P block ``rfft`` rows of length L, products with the plan's window
+    spectra summed over blocks, one ``irfft`` of length L per row (with
+    one block, P = L = d: one length-d ``rfft`` and ``irfft``).  Gaussian
+    sources multiply by the real matrix.  These keep real input real, so
+    only the M gathered rows are cast to complex128.
     Circulant and Gaussian sources map complex input part by part, so a
     zero imaginary part stays exactly zero, as it does through ``fwht``.
     The result is a fresh C-contiguous array, and each of its rows is
@@ -291,7 +347,10 @@ def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
     """
     x = _check_last_axis(x, src.d, "apply_rows")
     if src.kind == "partial_fourier":
-        y = np.take(dft(x), src.indices, axis=-1)
+        if src.d < _FOURIER_TWO_LEVEL_FROM or np.iscomplexobj(x):
+            y = np.take(dft(x), src.indices, axis=-1)
+        else:
+            y = _two_level_dft(src, x)
     elif src.kind == "partial_hadamard":
         y = np.take(fwht(x), src.indices, axis=-1)
     elif src.kind == "dense_gaussian":
@@ -326,9 +385,11 @@ def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
     real and returns float64; Fourier sources and complex input return
     complex128.  Circulant and Gaussian sources map complex input part by
     part, so a zero imaginary part stays exactly zero.  A circulant row
-    costs one ``rfft`` of length L and d/P ``irfft`` rows of length L
-    against the plan's conjugate block spectra, P entries kept of each
-    (with one block, P = L = d: one length-d ``irfft``).  As in
+    costs one ``rfft`` of length L (y zero-padded) and d/P ``irfft`` rows
+    of length L against the plan's conjugate window spectra, P entries
+    kept of each (``_plan``; with one block, P = L = d: one length-d
+    ``irfft``).  A Fourier adjoint scatters into a d-length buffer and
+    runs the full inverse transform.  As in
     ``apply_rows``, each row is computed on its own.
     """
     y = _check_last_axis(y, src.M, "apply_rows_adjoint")
@@ -350,7 +411,7 @@ def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
         return fwht(w)
     if src.kind == "partial_circulant":
         # Correlation with eps: block b of the output is the first P entries
-        # of the length-L correlation of y with block b of the kernel, whose
+        # of the length-L correlation of y with the kernel's window b, whose
         # spectrum is the conjugate one (eps is real).  rfft zero-pads y to
         # L.  np.multiply, not *: see ``circular_convolve``.
         P, L, conj_k = _plan(src)

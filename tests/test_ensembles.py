@@ -240,7 +240,7 @@ def test_adjoint_scatter_accumulates_duplicates():
 @pytest.mark.parametrize("batch", [(), (3,)], ids=["1-D", "batched"])
 @pytest.mark.parametrize("d", [2**6, 2**14, 2**16])
 def test_circulant_adjoint_reads_the_conjugate_half_spectrum_exactly(d, batch):
-    # With one block (M = 3d/8: fewer than 16 blocks of next_pow2(M)) the cached
+    # With one block (M = 3d/8, so 4 next_pow2(M) >= d) the cached
     # conj(rfft(eps)) gives exactly the product formed from the first
     # d/2 + 1 bins of the full DFT of eps; complex input goes by parts.
     src = sample_partial_circulant(d, 3 * d // 8, 67)
@@ -273,32 +273,33 @@ def test_circulant_rows_are_circular_convolve_exactly(d):
 
 
 def test_circulant_block_rule():
-    # Blocks of P = next_pow2(M) from d = 2^16 on, and only 16 or more of them.
-    def blocks(d, M):
-        P, L = block_rule(RowSource("circulant", d, M, eps=np.ones(d)))
-        return d // P if L == 2 * P else 1
+    # Overlap-save blocks of P = min(d, 4 M') at L = P + M', where
+    # M' = max(16, next_pow2(M)), and one block of d where 4 M' >= d.
+    def rule(d, M):
+        return block_rule(RowSource("circulant", d, M, eps=np.ones(d)))
 
-    assert blocks(2**15, 40) == 1 and blocks(2**15, 2048) == 1
-    assert blocks(2**16, 40) == 1024 and blocks(2**16, 4096) == 16
-    assert blocks(2**16, 4097) == 1 and blocks(2**16, 2**16) == 1
-    assert blocks(2**18, 6400) == 32 and blocks(2**17, 8193) == 1
+    assert rule(2**16, 1) == (64, 80) and rule(2**10, 8) == (64, 80) and rule(64, 1) == (64, 64)
+    assert rule(2**16, 8193) == (2**16, 2**16) and rule(2**16, 16384) == (2**16, 2**16)
+    assert rule(2**16, 8192) == (2**15, 2**15 + 2**13) and rule(2**12, 1025) == (2**12, 2**12)
+    # The embed benchmark's circulant sizes.
+    assert rule(2**16, 128) == (512, 640)
+    assert rule(2**16, 1024) == (4096, 5120) and rule(2**18, 1024) == (4096, 5120)
 
 
 @pytest.mark.parametrize(
     "M, blocks",
-    [(40, 64), (100, 32), (129, 16), (256, 16), (257, 1), (512, 1)],
-    ids=["M40", "M100", "M129-16P=d", "M256-16P=d", "M257-16P=2d", "M512-16P=2d"],
+    [(40, 16), (100, 8), (129, 4), (256, 4), (257, 2), (512, 2), (1025, 1)],
+    ids=["M40", "M100", "M129-16P=d", "M256-16P=d", "M257-16P=2d", "M512-16P=2d", "M1025"],
 )
-def test_circulant_blocks_match_densified(monkeypatch, M, blocks):
-    # d = 2^12, with the rule's lower bound on d moved to 2^12 so the dense
-    # matrix stays small, on both sides of the 16-block bound: forward and
-    # adjoint, real and complex, batched, against the dense matrix; the
-    # cache holds one spectrum row per block.
+def test_circulant_blocks_match_densified(M, blocks):
+    # d = 2^12, so the dense matrix stays small, on both sides of the one-block
+    # bound: forward and adjoint, real and complex, batched, against the dense
+    # matrix; the plan holds one window spectrum per block.  (The ids
+    # compare 16 next_pow2(M) with d.)
     d = 2**12
-    monkeypatch.setattr(ensembles, "_CIRCULANT_BLOCKED_FROM", d)
     src = sample_partial_circulant(d, M, 107)
     P, L = block_rule(src)
-    assert d // P == blocks and L == (2 * P if blocks > 1 else d)
+    assert d // P == blocks and L == (P + P // 4 if blocks > 1 else d)
     dense = densify(src)
     rng = np.random.default_rng(M)
     x = rng.standard_normal((2, 3, d))
@@ -310,22 +311,61 @@ def test_circulant_blocks_match_densified(monkeypatch, M, blocks):
     assert ensembles._plan(src)[2].shape == (blocks, L // 2 + 1)
 
 
+def cyclic_reference(eps, x, M):
+    """The first M outputs of the length-d cyclic convolution eps * x, and its adjoint."""
+    d = eps.shape[-1]
+    kernel = np.fft.fft(eps)
+    forward = np.fft.ifft(np.fft.fft(x) * kernel)[..., :M]
+
+    def adjoint(y):
+        padded = np.zeros(y.shape[:-1] + (d,), dtype=np.complex128)
+        padded[..., :M] = y
+        return np.fft.ifft(np.fft.fft(padded) * np.conj(kernel))
+
+    return forward, adjoint
+
+
 @pytest.mark.parametrize("d, M", [(2**16, 100), (2**16, 4096), (2**17, 6400)])
-def test_circulant_blocks_match_one_block_at_scale(monkeypatch, d, M):
-    # At the rule's own sizes: the blocked convolution against the length-d
-    # one on a source with the same eps, within rounding, both directions.
+def test_circulant_blocks_match_one_block_at_scale(d, M):
+    # At the rule's own sizes: the blocked convolution against one length-d
+    # cyclic convolution of the same eps, within rounding, both directions.
     src = sample_partial_circulant(d, M, 109)
     assert block_rule(src) != (d, d)
     rng = np.random.default_rng(d + M)
     x = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
     y = rng.standard_normal((2, M)) + 1j * rng.standard_normal((2, M))
-    with monkeypatch.context() as patch:
-        patch.setattr(ensembles, "_CIRCULANT_BLOCKED_FROM", 2 * d)
-        one = RowSource("circulant", d, M, eps=src.eps)
-        assert block_rule(one) == (d, d)
-        want_x, want_y = apply_rows(one, x), apply_rows_adjoint(one, y)
-    for got, want in ((apply_rows(src, x), want_x), (apply_rows_adjoint(src, y), want_y)):
+    want_x, adjoint = cyclic_reference(src.eps, x, M)
+    for got, want in ((apply_rows(src, x), want_x), (apply_rows_adjoint(src, y), adjoint(y))):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("d", [2**k for k in range(1, 19)])
+def test_overlap_save_matches_the_cyclic_convolution(d):
+    # Every block count the rule takes at d, M = 1, 2, 3, d/8, d/4 - 1, d/2
+    # and d: both directions, real and complex input, against the length-d
+    # cyclic convolution (and the dense matrix where it is small); every
+    # row of a batch is bit-identical to its 1-D call.
+    rng = np.random.default_rng(d)
+    for M in sorted({m for m in (1, 2, 3, d // 8, d // 4 - 1, d // 2, d) if 1 <= m <= d}):
+        src = sample_partial_circulant(d, M, 173 + M)
+        dense = densify(src) if M * d <= 2**16 else None
+        for imag in (0, 1j):
+            x = rng.standard_normal((2, d)) + imag * rng.standard_normal((2, d))
+            y = rng.standard_normal((2, M)) + imag * rng.standard_normal((2, M))
+            want_x, adjoint = cyclic_reference(src.eps, x, M)
+            want_y = adjoint(y)
+            got_x, got_y = apply_rows(src, x), apply_rows_adjoint(src, y)
+            # Normwise: with M = 1 the one output may nearly cancel, so the
+            # error is bounded by the input's norm, not the output's size.
+            for got, want, v in ((got_x, want_x, x), (got_y, want_y, y)):
+                assert np.abs(got - want).max() <= 1e-14 * np.linalg.norm(v, axis=-1).max()
+            if dense is not None:
+                np.testing.assert_allclose(got_x, x @ dense.T, rtol=0, atol=1e-12 * d)
+                np.testing.assert_allclose(got_y, y @ np.conj(dense), rtol=0, atol=1e-12 * d)
+            assert (got_y.dtype == np.float64) == (imag == 0)
+            for k in range(2):
+                assert np.array_equal(got_x[k], apply_rows(src, x[k]))
+                assert np.array_equal(got_y[k], apply_rows_adjoint(src, y[k]))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -333,7 +373,9 @@ def test_one_plan_per_source_built_on_first_apply(kind):
     # The plan is a circulant source's one cache: densify and the dtype
     # build none, the first product builds it, and both directions share it
     # after that (an adjoint that comes first builds it as well).  The
-    # other kinds cache nothing.
+    # other kinds cache nothing at this d: a Fourier source builds a plan
+    # only from d = 2^17 on, for real input (its twiddles, 16 M Q + 9 M
+    # bytes, see ``test_two_level_plan_is_the_roots_table_gathered``).
     src = sample_any(kind, 2**8, 16, 113)
     densify(src)
     assert src.dtype == (np.complex128 if kind == "fourier" else np.float64)
@@ -385,31 +427,31 @@ def test_threads_racing_to_build_one_plan_get_the_serial_results():
 
 @pytest.mark.parametrize(
     "d, M, blocks",
-    [(2**16, 100, 512), (2**16, 4096, 16), (2**17, 6400, 16), (2**14, 3000, 1), (2**16, 4097, 1)],
+    [(2**16, 100, 128), (2**16, 4096, 4), (2**17, 6400, 4), (2**14, 3000, 1), (2**16, 4097, 2)],
 )
 def test_circulant_plan_spectra_are_the_conjugate_block_spectra_exactly(d, M, blocks):
-    # K_b = G_{-b} + (-1)^f G_{-b-1} at bin f, G_a the rfft of eps's a-th
-    # length-P block zero-padded to 2P; with one block, rfft(eps) itself.
+    # K_b is the rfft, at L = P + next_pow2(M), of eps at the lags [0, M') and
+    # [-P, 0) around -bP, the latter stored at L + lag; with one block,
+    # rfft(eps) itself.
     src = sample_partial_circulant(d, M, 131)
     P, L, spectra = ensembles._plan(src)
     if blocks == 1:
         assert (P, L) == (d, d)
         want = np.fft.rfft(src.eps)[None, :]
     else:
-        assert (P, L) == (d // blocks, 2 * d // blocks)
-        G = np.fft.rfft(src.eps.reshape(blocks, P), L)
-        even = np.arange(P + 1) % 2 == 0
-        want = np.array([
-            np.where(even, G[-b % blocks] + G[(-b - 1) % blocks], G[-b % blocks] - G[(-b - 1) % blocks])
-            for b in range(blocks)
-        ])
+        tail = max(16, 1 << (M - 1).bit_length())
+        assert (P, L) == (d // blocks, d // blocks + tail)
+        lags = np.concatenate((np.arange(tail), np.arange(-P, 0)))
+        starts = -P * np.arange(blocks)
+        want = np.fft.rfft(src.eps[(starts[:, None] + lags) % d], L)
     assert np.array_equal(spectra, np.conj(want))
     assert not spectra.flags.writeable
 
 
 def test_fourier_products_build_no_roots_table():
     # Only the closed-form columns read the roots table; a product at a d
-    # whose table was never built does not build it.
+    # whose table was never built does not build it, nor does the two-level
+    # forward's plan at 2^18.
     before = _roots_table.cache_info()
     src = sample_bounded_orthogonal(2**13, 64, "fourier", 137)
     rng = np.random.default_rng(139)
@@ -417,7 +459,61 @@ def test_fourier_products_build_no_roots_table():
     apply_rows(src, rng.standard_normal(src.d) + 1j * rng.standard_normal(src.d))
     apply_rows_adjoint(src, rng.standard_normal(src.M))
     apply_rows_adjoint(src, rng.standard_normal(src.M) + 1j)
+    large = sample_bounded_orthogonal(2**18, 64, "fourier", 141)
+    apply_rows(large, rng.standard_normal(large.d))
+    assert large._plan_cache is not None
     assert _roots_table.cache_info() == before
+
+
+def two_level_source(d, M, seed):
+    """A Fourier source whose rows include 0, P/2 and its neighbours, d/2, d - 1 and duplicates."""
+    P = ensembles._FOURIER_BLOCK
+    indices = np.random.default_rng(seed).integers(0, d, M)
+    indices[:10] = [0, P // 2 - 1, P // 2, P // 2 + 1, d // 2, d - 1, P // 2, 0, d - 1, P - 1]
+    return RowSource("fourier", d, M, indices=indices)
+
+
+@pytest.mark.parametrize("d", [2**17, 2**18, 2**19, 2**20])
+def test_two_level_dft_matches_the_full_transform(d):
+    # Real input from d = 2^17 on runs the two-level DFT: within 2e-15 of the
+    # gathered full transform, and each batched row is bit-identical to its
+    # 1-D call.  Complex input still gathers from dft exactly.
+    src = two_level_source(d, 300, d + 1)
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((2, d))
+    want = np.take(dft(x), src.indices, axis=-1)
+    got = apply_rows(src, x)
+    assert got.dtype == np.complex128 and got.shape == (2, src.M)
+    assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+    for k in range(2):
+        assert np.array_equal(got[k], apply_rows(src, x[k]))
+    z = x[0] + 1j * x[1]
+    assert np.array_equal(apply_rows(src, z), np.take(dft(z), src.indices))
+
+
+def test_below_the_two_level_rule_fourier_gathers_from_dft_exactly():
+    src = two_level_source(2**16, 40, 5)
+    x = np.random.default_rng(7).standard_normal((3, src.d))
+    assert np.array_equal(apply_rows(src, x), np.take(dft(x), src.indices, axis=-1))
+    assert src._plan_cache is None
+
+
+def test_two_level_plan_is_the_roots_table_gathered():
+    # The plan's (M, Q) twiddles are w_d^(iq) as the roots table holds them,
+    # bit for bit, and the fold reads bin min(r, P - r) of the half spectrum,
+    # conjugated above P/2; 16 M Q + 9 M bytes in all.
+    d, P = 2**17, ensembles._FOURIER_BLOCK
+    src = two_level_source(d, 50, 11)
+    apply_rows(src, np.ones(d))
+    fold, conj_mask, twiddles = src._plan_cache
+    Q = d // P
+    phase = np.multiply.outer(src.indices, np.arange(Q)) % d
+    assert np.array_equal(twiddles, _roots_table(d)[phase])
+    rest = src.indices % P
+    assert np.array_equal(fold, np.where(rest > P // 2, P - rest, rest))
+    assert np.array_equal(conj_mask, rest > P // 2)
+    assert sum(a.nbytes for a in (fold, conj_mask, twiddles)) == 16 * src.M * Q + 9 * src.M
+    assert not any(a.flags.writeable for a in (fold, conj_mask, twiddles))
 
 
 def test_gaussian_rows_run_the_same_products_over_partial_chunks(monkeypatch):

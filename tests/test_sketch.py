@@ -269,10 +269,11 @@ def test_linearity_in_scale():
 def test_batched_apply_matches_loop(monkeypatch):
     # Blocks of 3 rows, so the 8-row batch runs as 3 + 3 + 2; every row must
     # come out bit-identical to the row applied on its own.  Circulant at
-    # d = 2^16 convolves in 2048 blocks and Hadamard at 2^16 runs the
-    # blocked fwht; the rest run at d = 64.
+    # d = 2^16 convolves in 512 blocks, Hadamard at 2^16 runs the blocked
+    # fwht and Fourier at 2^17 the two-level DFT; the rest run at d = 64.
     rng = np.random.default_rng(15)
-    for kind, d in [(kind, 64) for kind in ALL_KINDS] + [("circulant", 2**16), ("hadamard", 2**16)]:
+    large = [("circulant", 2**16), ("hadamard", 2**16), ("fourier", 2**17)]
+    for kind, d in [(kind, 64) for kind in ALL_KINDS] + large:
         monkeypatch.setattr(sketch, "_ROW_BLOCK_ENTRIES", 3 * d)
         op = build_sketch(d, 4, 8, kind, seed=53)
         for xs in (rng.standard_normal((8, d)), random_complex(rng, 8 * d).reshape(8, d)):
@@ -286,7 +287,7 @@ def test_batched_apply_matches_loop(monkeypatch):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_batched_adjoint_matches_loop(kind):
     # Every row of a batched adjoint is bit-identical to the row on its own.
-    # Circulant runs at d = 2^16 with M = 256 (256 blocks) and with M = 20480
+    # Circulant runs at d = 2^16 with M = 256 (64 blocks) and with M = 20480
     # (one block, where numpy would elide the temporary of a lone row's
     # spectrum product and swap its operands); Hadamard at 2^16 runs the
     # blocked fwht.
@@ -454,17 +455,16 @@ def count_fft_rows(monkeypatch, names):
 def test_circulant_transforms_each_row_once_and_eps_once_per_source(monkeypatch):
     # Counts the rows that go through np.fft.rfft and np.fft.irfft.  eps is
     # transformed once per source, into the plan that both directions read
-    # (the source's one cached attribute), as d/P block rows;
+    # (the source's one cached attribute), as d/P window rows;
     # a forward row costs d/P block rfft rows and one irfft, an adjoint row
     # one rfft and d/P irfft rows, however the batch is split into blocks.
-    # The rule's lower bound on d is moved to 2^10: with M = 32 there are 32
-    # blocks of P = 32; with M = 320 (2 blocks of 512, under the rule's 16)
-    # one block of d, as one rfft and one irfft per row.
+    # At d = 2^10, M = 32 takes 8 blocks of P = 4 * 32 at L = P + 32, and
+    # M = 320 (4 next_pow2(M) >= d) one block of d, as one rfft and one
+    # irfft per row.
     counts = count_fft_rows(monkeypatch, ("rfft", "irfft"))
     monkeypatch.setattr(sketch, "_ROW_BLOCK_ENTRIES", 3 * 2**10)
-    monkeypatch.setattr(ensembles, "_CIRCULANT_BLOCKED_FROM", 2**10)
     points = np.random.default_rng(157).standard_normal((5, 2**10))
-    for m, blocks in ((8, 32), (80, 1)):
+    for m, blocks in ((8, 8), (80, 1)):
         op = build_sketch(2**10, m, 4, "circulant", seed=151)
         for name in counts:
             counts[name] = 0
@@ -477,10 +477,10 @@ def test_circulant_transforms_each_row_once_and_eps_once_per_source(monkeypatch)
         cached = [v for name, v in vars(op.source).items()
                   if name not in ("kind", "d", "M", "indices", "eps", "matrix")]
         assert len(cached) == 1 and cached[0] is ensembles._plan(op.source)
-        spectra = cached[0][2]
+        P, L, spectra = cached[0]
         assert spectra.dtype == np.complex128
-        P = op.d // blocks
-        assert spectra.shape == (blocks, (P + 1 if blocks > 1 else op.d // 2 + 1))
+        assert P == op.d // blocks and L == (P + op.m * op.B if blocks > 1 else op.d)
+        assert spectra.shape == (blocks, L // 2 + 1)
 
 
 def test_fourier_transforms_each_row_once(monkeypatch):
