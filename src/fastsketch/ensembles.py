@@ -27,7 +27,6 @@ from fastsketch.rng import as_generator, signs
 from fastsketch.transforms import (
     _by_parts,
     _frozen,
-    _sylvester_entries,
     dft,
     fwht,
     is_power_of_two,
@@ -128,7 +127,8 @@ class RowSource:
             eps = np.asarray(self.eps, dtype=np.float64)
             if eps.shape != (self.d,):
                 raise ValueError(f"eps must have shape ({self.d},), got {eps.shape}")
-            if not np.all(np.abs(eps) == 1.0):
+            # Two d-byte masks, one at a time: no float64 temporary of d entries.
+            if np.count_nonzero(eps == 1.0) + np.count_nonzero(eps == -1.0) != self.d:
                 raise ValueError("eps entries must be +1 or -1")
             object.__setattr__(self, "eps", _frozen(eps, self.eps))
         else:
@@ -292,6 +292,24 @@ def _roots_table(d: int) -> np.ndarray:
     return roots
 
 
+@lru_cache(maxsize=4)
+def _parity_table(d: int) -> np.ndarray:
+    """(-1)^popcount(p) for p in [0, d), as read-only int8.
+
+    The Sylvester-Hadamard entry of row i and column j is this table at
+    i & j.  Built by Sylvester doubling (the second half of each prefix is
+    the negated first half); shared, like ``_roots_table``, by every
+    Hadamard source of one d, d bytes each.
+    """
+    table = np.ones(d, dtype=np.int8)
+    n = 1
+    while n < d:
+        np.negative(table[:n], out=table[n : 2 * n])
+        n *= 2
+    table.setflags(write=False)
+    return table
+
+
 def _gaussian_rows(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
     """v @ matrix.T for real v, as one (1 x d) @ (d x c) product per row and chunk.
 
@@ -425,29 +443,53 @@ def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
     return _by_parts(lambda v: np.matmul(v[..., None, :], src.matrix)[..., 0, :], y)
 
 
+def _index_dtype(d: int) -> type:
+    """The narrowest of uint16, uint32 and uint64 that holds d - 1.
+
+    Its products and differences wrap modulo a power of two that d
+    divides, so they stay exact mod d.
+    """
+    return np.uint16 if d <= 2**16 else np.uint32 if d <= 2**32 else np.uint64
+
+
 def _source_block(src: RowSource, cols: np.ndarray, r0: int, r1: int) -> np.ndarray:
     """A[r0:r1, cols], of shape (r1 - r0,) + cols.shape.
 
     The block comes from the closed form of each entry, with no transform:
     float64 (+-1, or the Gaussian entries) for Hadamard, circulant and
     Gaussian sources, complex128 roots of unity for Fourier sources.
-    ``cols`` must already be validated intp column indices (``_indices``).  No index
-    temporary outlives the block's construction.
+    ``cols`` must already be validated intp column indices (``_indices``).
+    A structured entry is one gather, table[combine(i, j) & (d - 1)]:
+    eps at the shift i - j (circulant), the int8 ``_parity_table`` at
+    the bits i & j (Hadamard, cast into the float64 block), the shared
+    ``_roots_table`` at the phase i j (Fourier).  The combine step runs
+    in the narrowest unsigned dtype that holds d - 1 (``_index_dtype``),
+    whose wrap-around is exact mod d.  It is widened to the intp index
+    that ``np.take`` reads before the block is allocated, so one
+    block-sized index is live beside the block, and none outlives it.
     """
+    if src.kind == "dense_gaussian":
+        return src.matrix[r0:r1, cols]
+    dtype = _index_dtype(src.d)
     mask = src.d - 1  # d is a power of two, so "& mask" is "mod d"
-    if src.kind == "partial_fourier":
+    cols = cols.astype(dtype)
+    if src.kind == "partial_circulant":
+        table = src.eps
+        index = np.subtract.outer(np.arange(r0, r1, dtype=dtype), cols)
+        index &= mask
+    elif src.kind == "partial_hadamard":
+        table = _parity_table(src.d)
+        index = np.bitwise_and.outer(src.indices[r0:r1].astype(dtype), cols)
+    else:
         # Reducing the phase in integers keeps every entry accurate to
         # rounding at any d; exp of the unreduced product would not.
-        phase = np.multiply.outer(src.indices[r0:r1], cols)
-        phase &= mask
-        return _roots_table(src.d)[phase]
-    if src.kind == "partial_hadamard":
-        return _sylvester_entries(src.indices[r0:r1], cols)
-    if src.kind == "partial_circulant":
-        shift = np.subtract.outer(np.arange(r0, r1), cols)
-        shift &= mask
-        return src.eps[shift]
-    return src.matrix[r0:r1, cols]
+        table = _roots_table(src.d)
+        index = np.multiply.outer(src.indices[r0:r1].astype(dtype), cols)
+        index &= mask
+    index = index.astype(np.intp)
+    block = np.take(table, index)
+    del index  # not held while the Hadamard block is cast
+    return block.astype(np.float64) if src.kind == "partial_hadamard" else block
 
 
 def densify(src: RowSource, *, cap: int = DENSIFY_CAP) -> np.ndarray:

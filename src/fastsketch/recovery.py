@@ -174,9 +174,11 @@ class _Work:
     counted for its report.
 
     ``columns`` holds the last block it returned.  Asked for the support
-    it holds, it returns that block itself, uncopied; otherwise it reads
-    through ``columns`` only the columns it lacks.  Returned blocks are
-    read-only.
+    it holds, it returns that block itself, uncopied; otherwise it finds
+    the columns it holds by ``searchsorted`` and reads through
+    ``columns`` only the ones it lacks.  A block is column-major, the
+    transpose of a C-contiguous (k, m) array, so each held column is
+    placed by one contiguous row copy.  Returned blocks are read-only.
     """
 
     def __init__(self, op: SketchOperator, dtype):
@@ -185,26 +187,28 @@ class _Work:
         self.adjoint_calls = 0
         self.columns_extracted = 0
         self.held = np.empty(0, dtype=np.intp)
-        self.held_cols = np.empty((op.m, 0), dtype=self.dtype)
+        self.held_cols = np.empty((0, op.m), dtype=self.dtype).T
 
     def adjoint(self, r: np.ndarray) -> np.ndarray:
         self.adjoint_calls += 1
         return apply_adjoint(self.op, r)
 
     def columns(self, support: np.ndarray) -> np.ndarray:
-        """Phi[:, support] for a sorted, unique support (see the class)."""
+        """Phi[:, support] for a sorted, unique support, F-contiguous (see the class)."""
         if np.array_equal(support, self.held):
             return self.held_cols
-        have = np.isin(support, self.held, assume_unique=True)
-        cols = np.empty((self.op.m, support.size), dtype=self.dtype)
-        cols[:, have] = self.held_cols[:, np.searchsorted(self.held, support[have])]
+        rows = np.empty((support.size, self.op.m), dtype=self.dtype)
+        at = np.searchsorted(self.held, support)
+        have = at < self.held.size  # held[at] exists; is it the column?
+        have[have] = self.held[at[have]] == support[have]
+        rows[have] = self.held_cols.T[at[have]]
         if not have.all():
             missing = support[~have]
             self.columns_extracted += missing.size
-            cols[:, ~have] = columns(self.op, missing)
-        cols.setflags(write=False)
-        self.held, self.held_cols = support, cols
-        return cols
+            rows[~have] = columns(self.op, missing).T
+        rows.setflags(write=False)
+        self.held, self.held_cols = support, rows.T
+        return self.held_cols
 
 
 def _validated(op: SketchOperator, y: np.ndarray, k: int, max_iters: int, tol: float) -> np.ndarray:

@@ -191,10 +191,11 @@ def columns(op: SketchOperator, support: np.ndarray) -> np.ndarray:
     sources.  Signed bucket sums of the source's closed-form columns,
     O(mB) per column with no transform.  The source block is built a few
     buckets at a time (about ``_BLOCK_ENTRIES`` float64 entries) and
-    summed into the output at once, as a batched (1 x B) @ (B x k) matmul
-    per bucket, so no (m*B, k) block is ever held, and a block is
-    released before the next one is built.  Blocks enter the matmul as
-    their float64 view (for Fourier, real and imaginary parts side by side).
+    summed at once, as a batched (1 x B) @ (B x k) matmul per bucket
+    written straight into the output, so no (m*B, k) block is ever held,
+    and a block is released before the next one is built.  Blocks enter
+    the matmul as their float64 view (for Fourier, real and imaginary
+    parts side by side).
     """
     support = _indices(support, op.d, "column indices")
     out = np.empty((op.m,) + support.shape, dtype=op.source.dtype)
@@ -203,7 +204,7 @@ def columns(op: SketchOperator, support: np.ndarray) -> np.ndarray:
     for b0 in range(0, op.m, buckets):
         b1 = min(op.m, b0 + buckets)
         block = _source_block(op.source, support, b0 * op.B, b1 * op.B).view(np.float64)
-        sums[b0:b1] = (op.signs[b0:b1, None, :] @ block.reshape(b1 - b0, op.B, -1))[:, 0]
+        np.matmul(op.signs[b0:b1, None, :], block.reshape(b1 - b0, op.B, -1), out=sums[b0:b1, None])
         del block  # so the next block is not built while this one is held
     out *= op.scale
     return np.moveaxis(out, 0, -2)

@@ -1,6 +1,7 @@
 """Row-ensemble sampling, fast application, and densified cross-checks."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from fastsketch import ensembles
 from fastsketch.ensembles import (
     RowSource,
+    _parity_table,
     _roots_table,
     apply_rows,
     apply_rows_adjoint,
@@ -122,6 +124,30 @@ def test_eps_entries_validated():
     for bad in (2.0, 0.0, -0.5, np.nan, np.inf):
         with pytest.raises(ValueError, match=r"\+1 or -1"):
             RowSource(kind="circulant", d=4, M=2, eps=np.array([1.0, bad, 1.0, -1.0]))
+
+
+def test_eps_check_is_the_modulus_rule():
+    # eps passes exactly when every |entry| == 1, as np.all(np.abs(eps) == 1.0)
+    # decides; every 4-entry vector over these values is tried.
+    values = [1.0, -1.0, 0.0, -0.0, 2.0, -0.5, np.nextafter(1.0, 2.0), np.nan, np.inf, -np.inf]
+    for combo in np.array(np.meshgrid(*[values] * 4)).reshape(4, -1).T:
+        if np.all(np.abs(combo) == 1.0):
+            assert RowSource(kind="circulant", d=4, M=2, eps=combo).eps.tolist() == combo.tolist()
+        else:
+            with pytest.raises(ValueError, match=r"\+1 or -1"):
+                RowSource(kind="circulant", d=4, M=2, eps=combo)
+
+
+def test_eps_check_makes_no_float64_temporary():
+    eps = sample_partial_circulant(2**16, 8, 3).eps  # read-only, so kept uncopied
+    tracemalloc.start()
+    try:
+        RowSource(kind="circulant", d=eps.size, M=8, eps=eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One bool mask (d bytes) at a time; np.abs(eps) alone was 8d.
+    assert peak < 2 * eps.size
 
 
 @pytest.mark.parametrize(
@@ -531,6 +557,32 @@ def test_gaussian_rows_run_the_same_products_over_partial_chunks(monkeypatch):
     got = apply_rows(src, z)
     np.testing.assert_array_equal(got.real, apply_rows(src, x[0]).real)
     np.testing.assert_array_equal(got.imag, apply_rows(src, x[1]).real)
+
+
+def test_hadamard_sources_of_one_d_share_a_read_only_parity_table():
+    # Fresh Hadamard sources of one d read one int8 table, d bytes, built
+    # once by the first block that needs it: (-1)^popcount(p) at p = i & j.
+    d = 2**11
+    _parity_table.cache_clear()
+    for seed in (83, 89):
+        densify(sample_bounded_orthogonal(d, 8, "hadamard", seed))
+    assert _parity_table.cache_info().misses == 1
+    table = _parity_table(d)
+    assert table.dtype == np.int8 and table.nbytes == d and not table.flags.writeable
+    p = np.arange(d)
+    assert np.array_equal(table, 1 - 2 * (np.bitwise_count(p).astype(int) % 2))
+
+
+def test_hadamard_products_build_no_parity_table():
+    # Only the closed-form columns read the parity table.
+    before = _parity_table.cache_info()
+    src = sample_bounded_orthogonal(2**13, 64, "hadamard", 143)
+    rng = np.random.default_rng(149)
+    apply_rows(src, rng.standard_normal((2, src.d)))
+    apply_rows(src, rng.standard_normal(src.d) + 1j * rng.standard_normal(src.d))
+    apply_rows_adjoint(src, rng.standard_normal(src.M))
+    apply_rows_adjoint(src, rng.standard_normal(src.M) + 1j)
+    assert _parity_table.cache_info() == before
 
 
 def test_fourier_sources_of_one_d_share_a_read_only_roots_table():

@@ -335,7 +335,9 @@ def test_solvers_never_call_apply(solver, kind, monkeypatch):
 def test_work_columns_reads_only_what_it_does_not_hold(kind):
     # A held column is returned exactly as it was read.  Reading it again
     # in another block may differ in the last bit, because the bucket sum
-    # is a BLAS product whose rounding depends on the block's width.
+    # is a BLAS product whose rounding depends on the block's width; sums
+    # of +-1 are exact in any product, so there a fresh read matches
+    # exactly.  Every block is column-major (F-contiguous) and read-only.
     op = build_sketch(256, 64, 4, kind, seed=73)
     work = recovery._Work(op, WORKING_DTYPES[kind])
     supports = [[3, 9, 40], [3, 9, 40], [1, 9, 40, 200], [1, 2, 200, 255], [], [7], [0, 7, 255]]
@@ -351,6 +353,9 @@ def test_work_columns_reads_only_what_it_does_not_hold(kind):
         expected = np.array([held[i] for i in s.tolist()], dtype=block.dtype)
         np.testing.assert_array_equal(block, expected.reshape(s.size, op.m).T)
         np.testing.assert_allclose(block, columns(op, s), rtol=0, atol=1e-15)
+        if kind in ("hadamard", "circulant"):
+            np.testing.assert_array_equal(block, columns(op, s))
+        assert block.flags.f_contiguous and not block.flags.writeable
         assert work.columns_extracted == read
     assert read < sum(len(s) for s in supports)
 

@@ -389,6 +389,62 @@ def test_columns_match_full_block_reference(kind, shape):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
+def reference_source(src, rows, cols):
+    """A[rows, cols] of a structured source from each kind's definition, in int64.
+
+    Fourier exp(-2 pi i ((i j) mod d) / d), Hadamard (-1)^popcount(i & j),
+    circulant eps[(r - c) mod d]; ``rows`` are row positions in [0, M).
+    """
+    d = src.d
+    if src.kind == "partial_circulant":
+        return src.eps[np.subtract.outer(rows.astype(np.int64), cols.astype(np.int64)) % d]
+    i = src.indices[rows].astype(np.int64)
+    if src.kind == "partial_hadamard":
+        parity = np.bitwise_count(np.bitwise_and.outer(i, cols.astype(np.int64))) % 2
+        return 1.0 - 2.0 * parity
+    return np.exp((-2j * np.pi / d) * (np.multiply.outer(i, cols.astype(np.int64)) % d))
+
+
+def reference_columns(op, support):
+    """scale * Phi[:, support] from ``reference_source``, by the bucket products
+    ``columns`` runs: one (1 x B) @ (B x n) product per bucket on the float64
+    view, so equal entries give equal sums."""
+    entries = reference_source(op.source, np.arange(op.source.M), support)
+    sums = np.matmul(op.signs[:, None, :], entries.view(np.float64).reshape(op.m, op.B, -1))
+    out = sums.view(entries.dtype).reshape((op.m,) + support.shape)
+    out *= op.scale
+    return np.moveaxis(out, 0, -2)
+
+
+def edge_source(kind, d, M, seed):
+    """A source whose first rows are d - 1, d - 1, 0, 0 (Fourier, Hadamard; as many as fit)."""
+    if kind == "circulant":
+        return ensembles.sample_partial_circulant(d, M, seed)
+    indices = np.random.default_rng(seed).integers(0, d, M)
+    indices[:4] = [d - 1, d - 1, 0, 0][:M]
+    return RowSource(kind, d, M, indices=indices)
+
+
+@pytest.mark.parametrize("kind", ["fourier", "hadamard", "circulant"])
+@pytest.mark.parametrize("d", [2**4, 2**15, 2**16, 2**17, 2**20])
+def test_columns_and_densify_match_an_independent_reference(kind, d):
+    # The table gathers index in uint16 up to d = 2^16 and in uint32 above;
+    # the reference reduces in int64 and reads no table.  Exact throughout.
+    m, B = (4, 4) if d == 2**4 else (8, 4)
+    op = SketchOperator(source=edge_source(kind, d, m * B, d + 3),
+                        signs=draw_signs(np.random.default_rng(d), (m, B)))
+    rng = np.random.default_rng(d + 1)
+    support = np.concatenate(([0, d - 1, d - 1], rng.integers(0, d, 9)))
+    for s in (support, support.reshape(3, 4)):
+        got = columns(op, s)
+        assert got.dtype == COLUMN_DTYPES[kind]
+        np.testing.assert_array_equal(got, reference_columns(op, s))
+    # Densify reads every column of a few rows; 2 at d = 2^20 keep it at 32 MB.
+    src = edge_source(kind, d, min(d, 4 if d < 2**20 else 2), d + 5)
+    want = reference_source(src, np.arange(src.M), np.arange(d))
+    np.testing.assert_array_equal(densify(src), want)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_columns_build_no_plan(kind):
     # Columns come from closed forms in the source's dtype, so reading them
@@ -402,17 +458,21 @@ def test_columns_build_no_plan(kind):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_columns_peak_memory_is_a_few_outputs(kind):
     # The Gaussian source holds its whole M x d matrix, so it gets a smaller
-    # d; the blocks ``columns`` builds do not depend on d.
+    # d; the blocks ``columns`` builds do not depend on d.  The first call
+    # is cold: it builds the shared roots or parity table inside the bound.
     op = build_sketch(2**11 if kind == "gaussian" else 2**14, 400, 16, kind, seed=103)
     support = np.sort(np.random.default_rng(107).choice(op.d, 60, replace=False))
-    tracemalloc.start()
-    try:
-        out = columns(op, support)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # A full (m*B, k) complex source block alone would be 16 outputs.
-    assert peak <= 4 * out.nbytes
+    ensembles._roots_table.cache_clear()
+    ensembles._parity_table.cache_clear()
+    for _ in ("cold", "warm"):
+        tracemalloc.start()
+        try:
+            out = columns(op, support)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A full (m*B, k) complex source block alone would be 16 outputs.
+        assert peak <= 4 * out.nbytes
 
 
 @pytest.mark.parametrize("kind", ["fourier", "hadamard", "circulant"])
