@@ -27,6 +27,7 @@ from fastsketch.rng import as_generator, signs
 from fastsketch.transforms import (
     _by_parts,
     _frozen,
+    _parity_table,
     dft,
     fwht,
     is_power_of_two,
@@ -82,9 +83,9 @@ class RowSource:
     kind, ``matrix`` (shape (M, d)) for the Gaussian baseline.  The
     payload is kept read-only; a writeable array the caller passed is
     copied, so the caller's array stays writeable (``_frozen``).  A
-    circulant source, and a Fourier source from d = 2^17 that is applied
-    to real input, cache one transform plan (``_plan``), built on first
-    use; the other sources cache nothing.
+    circulant source, and a Fourier source from d = 2^17, cache one
+    transform plan (``_plan``), built on first use; the other sources
+    cache nothing.
     """
 
     kind: str
@@ -93,7 +94,7 @@ class RowSource:
     indices: np.ndarray | None = None
     eps: np.ndarray | None = None
     matrix: np.ndarray | None = None
-    _plan_cache: tuple | None = field(
+    _plan_cache: tuple | np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -200,17 +201,20 @@ def _check_last_axis(x: np.ndarray, length: int, what: str) -> np.ndarray:
 _CIRCULANT_BLOCK_RATIO = 4
 _CIRCULANT_MIN_TAIL = 16
 
-#: The two-level Fourier forward (``_plan``): real input from this d on,
-#: as d/P length-P ``rfft`` columns, P = ``_FOURIER_BLOCK``.  At M = 4096, a
-#: four-row block (a batch's row block at d = 2^16) took 2.28 ms against
-#: 2.04 ms for ``dft`` and ``take``; at 2^17 two rows took 1.93 against
-#: 5.17 ms (``BENCH_27.json`` ``two_level_rule``; 2-core Xeon, numpy 2.4.6).
-#: Of P = 2^13..2^16, 2^15 read best at d = 2^18 and 2^20 (one row).
+#: The Fourier forward's subsequence length P (``_fourier_rows``): P = d
+#: below ``_FOURIER_TWO_LEVEL_FROM``, P = ``_FOURIER_BLOCK`` from there on.
+#: At M = 4096 and d = 2^17, two rows took 1.8-2.2 ms with P = 2^15,
+#: 2.0-2.7 ms with 2^16 and 4.8-6.1 ms with P = d.  At d = 2^16 a four-row
+#: block (a batch's row block) took 1.8-2.4 ms with P = 2^15 and 1.9-2.4 ms
+#: with P = d: no gain to pay for the twiddles each fresh source would
+#: build (medians of 30 calls in two runs, 2-core Xeon, numpy 2.4.6).  Of
+#: P = 2^13..2^16, 2^15 read best at d = 2^18 and 2^20 (``BENCH_27.json``
+#: ``two_level_rule``).
 _FOURIER_TWO_LEVEL_FROM = 2**17
 _FOURIER_BLOCK = 2**15
 
 
-def _plan(src: RowSource) -> tuple:
+def _plan(src: RowSource) -> tuple | np.ndarray:
     """A source's transform plan, built once: circulant, or Fourier from d = 2^17.
 
     *Circulant*, (P, L, conj_spectra).  With M' = next_pow2(M), at least
@@ -226,15 +230,11 @@ def _plan(src: RowSource) -> tuple:
     spectra are (d/P, L/2 + 1) complex entries: about 10d bytes with
     blocks, 8d with one.
 
-    *Fourier* at d >= ``_FOURIER_TWO_LEVEL_FROM``, (fold, conj_mask,
-    twiddles), for the two-level DFT of real input in ``apply_rows``:
-    with P = ``_FOURIER_BLOCK``, Q = d/P and r = i mod P, the sampled
-    row i reads bin min(r, P - r) (``fold``) of the half spectra,
-    conjugated where r > P/2 (``conj_mask``), against the (M, Q) table
-    ``twiddles`` of w_d^(iq), w_d = exp(-2 pi i / d).  The phases iq are
-    reduced mod d in integers, so no d-length roots table is built:
-    16 M Q + 9 M bytes.  A smaller Fourier source, and the other kinds,
-    build no plan.
+    *Fourier* at d >= ``_FOURIER_TWO_LEVEL_FROM``, the (Q, M) twiddles
+    w_d^(qi) of ``_fourier_rows``, w_d = exp(-2 pi i / d) and
+    Q = d / ``_FOURIER_BLOCK``: 16 M Q bytes.  The phases qi are reduced
+    mod d in integers (``_roots``), so no d-length roots table is built.
+    A smaller Fourier source, and the other kinds, build no plan.
 
     The plan is the one thing a source caches (``RowSource._plan_cache``),
     built by its first ``apply_rows`` (or for a circulant source
@@ -267,47 +267,32 @@ def _circulant_plan(src: RowSource) -> tuple[int, int, np.ndarray]:
     return P, L, spectra
 
 
-def _fourier_plan(src: RowSource) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    P, d = _FOURIER_BLOCK, src.d
-    rest = src.indices & (P - 1)
-    fold = np.minimum(rest, P - rest)
-    conj_mask = rest > P // 2
-    phase = np.multiply.outer(src.indices, np.arange(d // P))
-    phase &= d - 1
-    twiddles = np.exp((-2j * np.pi / d) * phase)
-    for array in (fold, conj_mask, twiddles):
-        array.setflags(write=False)
-    return fold, conj_mask, twiddles
+def _fourier_plan(src: RowSource) -> np.ndarray:
+    phase = np.multiply.outer(np.arange(src.d // _FOURIER_BLOCK), src.indices)
+    phase &= src.d - 1
+    return _roots(phase, src.d)
 
 
-@lru_cache(maxsize=4)
-def _roots_table(d: int) -> np.ndarray:
-    """exp(-2 pi i p / d) for p in [0, d), read-only.
+def _roots(phase: np.ndarray, d: int) -> np.ndarray:
+    """exp(-2 pi i p / d) at each integer phase p in [0, d), read-only.
 
-    It depends on d alone, so every Fourier source of one d shares it; the
-    bound keeps a few sizes (16d bytes each) alive at most.
+    The one roots-of-unity rule.  A phase reduced mod d in integers keeps
+    every root accurate to rounding at any d; exp of an unreduced product
+    would not.
     """
-    roots = np.exp((-2j * np.pi / d) * np.arange(d))
+    roots = np.exp((-2j * np.pi / d) * phase)
     roots.setflags(write=False)
     return roots
 
 
 @lru_cache(maxsize=4)
-def _parity_table(d: int) -> np.ndarray:
-    """(-1)^popcount(p) for p in [0, d), as read-only int8.
+def _roots_table(d: int) -> np.ndarray:
+    """``_roots`` at every phase in [0, d).
 
-    The Sylvester-Hadamard entry of row i and column j is this table at
-    i & j.  Built by Sylvester doubling (the second half of each prefix is
-    the negated first half); shared, like ``_roots_table``, by every
-    Hadamard source of one d, d bytes each.
+    It depends on d alone, so every Fourier source of one d shares it; the
+    bound keeps a few sizes (16d bytes each) alive at most.
     """
-    table = np.ones(d, dtype=np.int8)
-    n = 1
-    while n < d:
-        np.negative(table[:n], out=table[n : 2 * n])
-        n *= 2
-    table.setflags(write=False)
-    return table
+    return _roots(np.arange(d), d)
 
 
 def _gaussian_rows(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -328,32 +313,34 @@ def _gaussian_rows(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(v)[:-1] + (M,))
 
 
-def _two_level_dft(src: RowSource, x: np.ndarray) -> np.ndarray:
-    """The M sampled DFT rows of real x, y_i = sum_q w_d^(iq) Z_q[i mod P].
+def _fourier_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
+    """The M sampled DFT rows of x, y_i = sum_q w_d^(qi) Z_q[i mod P].
 
-    Z_q is the length-P DFT of x[q::Q], Q = d/P: one ``rfft`` along axis
-    -2 of x.reshape(P, Q), whose bin r > P/2 is the conjugate of bin P - r.
+    The four-step DFT (D. H. Bailey, 1990) pruned to the sampled rows:
+    with Q = d/P, Z_q is the length-P DFT of the stride-Q subsequence
+    x[q::Q], all Q of them one ``dft`` call on x.reshape(P, Q) transposed.
+    Each row gathers its Q terms at i mod P, multiplies them by the plan's
+    twiddles and sums them.  Below ``_FOURIER_TWO_LEVEL_FROM``, P = d, so
+    Q = 1 and y is ``dft(x)`` gathered, with no plan and no twiddle step.
     """
-    fold, conj_mask, twiddles = _plan(src)
-    rows = x.astype(np.float64, copy=False)
-    half = np.fft.rfft(rows.reshape(x.shape[:-1] + (_FOURIER_BLOCK, -1)), axis=-2)
-    terms = np.take(half, fold, axis=-2)
-    np.conjugate(terms, out=terms, where=conj_mask[:, None])
-    np.multiply(terms, twiddles, out=terms)
-    return terms.sum(axis=-1)
+    P = src.d if src.d < _FOURIER_TWO_LEVEL_FROM else _FOURIER_BLOCK
+    columns = x.reshape(x.shape[:-1] + (P, src.d // P)).swapaxes(-1, -2)
+    terms = np.take(dft(columns), src.indices & (P - 1), axis=-1)
+    if P == src.d:
+        return terms[..., 0, :]
+    terms *= _plan(src)
+    return terms.sum(axis=-2)
 
 
 def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
     """Compute A @ x along the last axis in O(d log d), as complex128.
 
-    Fourier/Hadamard sources run the full transform and gather the
-    sampled rows, except real input on a Fourier source with
-    d >= ``_FOURIER_TWO_LEVEL_FROM``: there the plan's two-level DFT
-    (``_plan``) runs d/P length-P ``rfft`` columns of x.reshape(P, d/P)
-    and sums the M gathered rows of bins against the plan's (M, d/P)
-    twiddles, with no d-length spectrum.  Circulant sources convolve with
-    eps and keep the first M entries, by the plan's overlap-save blocks:
-    d/P block ``rfft`` rows of length L, products with the plan's window
+    Hadamard sources run the full transform and gather the sampled rows;
+    Fourier sources, for real and complex input, run one ``dft`` call on
+    x's stride subsequences and combine the gathered bins (``_fourier_rows``).
+    Circulant sources convolve with eps and keep the first M entries, by
+    the plan's overlap-save blocks: d/P block ``rfft`` rows of length L,
+    products with the plan's window
     spectra summed over blocks, one ``irfft`` of length L per row (with
     one block, P = L = d: one length-d ``rfft`` and ``irfft``).  Gaussian
     sources multiply by the real matrix.  These keep real input real, so
@@ -365,10 +352,7 @@ def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
     """
     x = _check_last_axis(x, src.d, "apply_rows")
     if src.kind == "partial_fourier":
-        if src.d < _FOURIER_TWO_LEVEL_FROM or np.iscomplexobj(x):
-            y = np.take(dft(x), src.indices, axis=-1)
-        else:
-            y = _two_level_dft(src, x)
+        y = _fourier_rows(src, x)
     elif src.kind == "partial_hadamard":
         y = np.take(fwht(x), src.indices, axis=-1)
     elif src.kind == "dense_gaussian":
@@ -481,8 +465,6 @@ def _source_block(src: RowSource, cols: np.ndarray, r0: int, r1: int) -> np.ndar
         table = _parity_table(src.d)
         index = np.bitwise_and.outer(src.indices[r0:r1].astype(dtype), cols)
     else:
-        # Reducing the phase in integers keeps every entry accurate to
-        # rounding at any d; exp of the unreduced product would not.
         table = _roots_table(src.d)
         index = np.multiply.outer(src.indices[r0:r1].astype(dtype), cols)
         index &= mask

@@ -18,6 +18,7 @@ isometry normalization lives in :mod:`fastsketch.sketch`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,9 +58,11 @@ def dft(x: np.ndarray, direction: str = "forward") -> np.ndarray:
     ``forward`` computes the unnormalized sum y_j = sum_t x_t e^{-2pi i jt/n};
     ``inverse`` computes the conjugate transform scaled by 1/n, so that
     ``dft(dft(x), "inverse")`` recovers ``x``.  Length must be a power of
-    two.  Complex input is copied to complex128 and transformed in place;
-    real input runs the real FFT into half of the complex128 output.  The
-    output is bit-stable for a fixed input and a fixed numpy version.
+    two.  Complex input is copied to C-ordered complex128 and transformed
+    in place; real input runs the real FFT into half of the complex128
+    output.  The output is C-contiguous for strided input too, so a gather
+    from it copies nothing.  It is bit-stable for a fixed input and a
+    fixed numpy version.
     """
     x = np.asarray(x)
     if x.ndim == 0:
@@ -75,7 +78,7 @@ def dft(x: np.ndarray, direction: str = "forward") -> np.ndarray:
         real_fft(x.astype(np.float64, copy=False), out=y[..., : n // 2 + 1])
         np.conjugate(y[..., n // 2 - 1 : 0 : -1], out=y[..., n // 2 + 1 :])
         return y
-    y = np.array(x, dtype=np.complex128)
+    y = np.array(x, dtype=np.complex128, order="C")
     if direction == "forward":
         return np.fft.fft(y, out=y)
     return np.fft.ifft(y, out=y)
@@ -113,17 +116,29 @@ def _by_parts(real_op, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sylvester_entries(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sylvester-Hadamard entries (-1)^popcount(i & j) of the outer product, as float64."""
-    parity = np.bitwise_count(np.bitwise_and.outer(rows, cols))
-    parity &= 1
-    block = np.multiply(parity, -2.0)  # 1 - 2 parity, with one float64 temporary
-    block += 1.0
-    return block
+@lru_cache(maxsize=4)
+def _parity_table(d: int) -> np.ndarray:
+    """(-1)^popcount(p) for p in [0, d), as read-only int8.
+
+    The one Sylvester rule: the Hadamard entry of row i and column j is
+    this table at i & j.  Built by Sylvester doubling (the second half of
+    each prefix is the negated first half); a small cache keeps the
+    tables of the last few sizes, d bytes each.
+    """
+    table = np.ones(d, dtype=np.int8)
+    n = 1
+    while n < d:
+        np.negative(table[:n], out=table[n : 2 * n])
+        n *= 2
+    table.setflags(write=False)
+    return table
 
 
-#: H_16 and the smaller blocks a last factor may need.
-_SYLVESTER = {n: _sylvester_entries(np.arange(n), np.arange(n)) for n in (1, 2, 4, 8, 16)}
+#: H_16 and the smaller blocks a last factor may need, as float64.
+_SYLVESTER = {
+    n: _parity_table(16)[np.bitwise_and.outer(np.arange(n), np.arange(n))].astype(np.float64)
+    for n in (1, 2, 4, 8, 16)
+}
 
 #: Longest row (256 KB of float64) that ``fwht`` transforms in whole-row
 #: passes; a longer row is transformed in pieces of this length first.

@@ -400,8 +400,8 @@ def test_one_plan_per_source_built_on_first_apply(kind):
     # build none, the first product builds it, and both directions share it
     # after that (an adjoint that comes first builds it as well).  The
     # other kinds cache nothing at this d: a Fourier source builds a plan
-    # only from d = 2^17 on, for real input (its twiddles, 16 M Q + 9 M
-    # bytes, see ``test_two_level_plan_is_the_roots_table_gathered``).
+    # only from d = 2^17 on (its twiddles, 16 M Q bytes, see
+    # ``test_two_level_plan_is_the_roots_table_gathered``).
     src = sample_any(kind, 2**8, 16, 113)
     densify(src)
     assert src.dtype == (np.complex128 if kind == "fourier" else np.float64)
@@ -477,7 +477,7 @@ def test_circulant_plan_spectra_are_the_conjugate_block_spectra_exactly(d, M, bl
 def test_fourier_products_build_no_roots_table():
     # Only the closed-form columns read the roots table; a product at a d
     # whose table was never built does not build it, nor does the two-level
-    # forward's plan at 2^18.
+    # forward's plan at 2^18, for real or complex input.
     before = _roots_table.cache_info()
     src = sample_bounded_orthogonal(2**13, 64, "fourier", 137)
     rng = np.random.default_rng(139)
@@ -485,9 +485,10 @@ def test_fourier_products_build_no_roots_table():
     apply_rows(src, rng.standard_normal(src.d) + 1j * rng.standard_normal(src.d))
     apply_rows_adjoint(src, rng.standard_normal(src.M))
     apply_rows_adjoint(src, rng.standard_normal(src.M) + 1j)
-    large = sample_bounded_orthogonal(2**18, 64, "fourier", 141)
-    apply_rows(large, rng.standard_normal(large.d))
-    assert large._plan_cache is not None
+    for v in (rng.standard_normal(2**18), rng.standard_normal(2**18) + 1j):
+        large = sample_bounded_orthogonal(2**18, 64, "fourier", 141)
+        apply_rows(large, v)
+        assert large._plan_cache is not None
     assert _roots_table.cache_info() == before
 
 
@@ -501,45 +502,67 @@ def two_level_source(d, M, seed):
 
 @pytest.mark.parametrize("d", [2**17, 2**18, 2**19, 2**20])
 def test_two_level_dft_matches_the_full_transform(d):
-    # Real input from d = 2^17 on runs the two-level DFT: within 2e-15 of the
-    # gathered full transform, and each batched row is bit-identical to its
-    # 1-D call.  Complex input still gathers from dft exactly.
+    # From d = 2^17 on, real and complex input run the two-level DFT: within
+    # 2e-15 of the gathered full transform, and each batched row is
+    # bit-identical to its 1-D call.
     src = two_level_source(d, 300, d + 1)
     rng = np.random.default_rng(d)
     x = rng.standard_normal((2, d))
-    want = np.take(dft(x), src.indices, axis=-1)
-    got = apply_rows(src, x)
-    assert got.dtype == np.complex128 and got.shape == (2, src.M)
-    assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
-    for k in range(2):
-        assert np.array_equal(got[k], apply_rows(src, x[k]))
-    z = x[0] + 1j * x[1]
-    assert np.array_equal(apply_rows(src, z), np.take(dft(z), src.indices))
+    for v in (x, x + 1j * rng.standard_normal((2, d))):
+        want = np.take(dft(v), src.indices, axis=-1)
+        got = apply_rows(src, v)
+        assert got.dtype == np.complex128 and got.shape == (2, src.M)
+        assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+        for k in range(2):
+            assert np.array_equal(got[k], apply_rows(src, v[k]))
 
 
 def test_below_the_two_level_rule_fourier_gathers_from_dft_exactly():
     src = two_level_source(2**16, 40, 5)
-    x = np.random.default_rng(7).standard_normal((3, src.d))
-    assert np.array_equal(apply_rows(src, x), np.take(dft(x), src.indices, axis=-1))
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((3, src.d))
+    z = x + 1j * rng.standard_normal((3, src.d))
+    for v in (x, z, z[0]):
+        assert np.array_equal(apply_rows(src, v), np.take(dft(v), src.indices, axis=-1))
     assert src._plan_cache is None
 
 
 def test_two_level_plan_is_the_roots_table_gathered():
-    # The plan's (M, Q) twiddles are w_d^(iq) as the roots table holds them,
-    # bit for bit, and the fold reads bin min(r, P - r) of the half spectrum,
-    # conjugated above P/2; 16 M Q + 9 M bytes in all.
+    # The plan is the (Q, M) twiddles w_d^(qi) as the roots table holds
+    # them, bit for bit: 16 M Q bytes, read-only.
     d, P = 2**17, ensembles._FOURIER_BLOCK
     src = two_level_source(d, 50, 11)
     apply_rows(src, np.ones(d))
-    fold, conj_mask, twiddles = src._plan_cache
+    twiddles = src._plan_cache
     Q = d // P
-    phase = np.multiply.outer(src.indices, np.arange(Q)) % d
+    phase = np.multiply.outer(np.arange(Q), src.indices) % d
     assert np.array_equal(twiddles, _roots_table(d)[phase])
-    rest = src.indices % P
-    assert np.array_equal(fold, np.where(rest > P // 2, P - rest, rest))
-    assert np.array_equal(conj_mask, rest > P // 2)
-    assert sum(a.nbytes for a in (fold, conj_mask, twiddles)) == 16 * src.M * Q + 9 * src.M
-    assert not any(a.flags.writeable for a in (fold, conj_mask, twiddles))
+    assert twiddles.nbytes == 16 * src.M * Q
+    assert not twiddles.flags.writeable
+
+
+@pytest.mark.parametrize("d", [2**6, 2**16, 2**17, 2**20])
+@pytest.mark.parametrize("shape", [(), (2,)], ids=["1d", "batched"])
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_fourier_forward_is_one_dft_call_of_rows_times_d_points(monkeypatch, d, shape, complex_input):
+    # Every Fourier forward, at every size and dtype, transforms its input in
+    # one ``dft`` call on rows * d points: the full transform below 2^17, the
+    # d/P stride subsequences from there on.
+    calls = []
+
+    def counted(v, *args):
+        calls.append(np.shape(v))
+        return dft(v, *args)
+
+    monkeypatch.setattr(ensembles, "dft", counted)
+    src = sample_bounded_orthogonal(d, 16, "fourier", 163)
+    rng = np.random.default_rng(167)
+    x = rng.standard_normal(shape + (d,))
+    if complex_input:
+        x = x + 1j * rng.standard_normal(shape + (d,))
+    apply_rows(src, x)
+    assert len(calls) == 1
+    assert np.prod(calls[0]) == x.size
 
 
 def test_gaussian_rows_run_the_same_products_over_partial_chunks(monkeypatch):

@@ -126,6 +126,18 @@ class TestDft:
         np.testing.assert_array_equal(dft(x), dft(x))
 
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_strided_input_gives_a_c_contiguous_output(self, direction):
+        # A transposed view (the Fourier forward's stride subsequences)
+        # transforms to a C-contiguous array, bit-identical to the transform
+        # of its contiguous copy, real or complex.
+        rng = np.random.default_rng(19)
+        for x in (rng.standard_normal((64, 8)), random_complex(rng, 512).reshape(64, 8)):
+            view = x.swapaxes(-1, -2)
+            out = dft(view, direction)
+            assert out.flags.c_contiguous
+            np.testing.assert_array_equal(out, dft(np.ascontiguousarray(view), direction))
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
     def test_leaves_complex_input_unmodified(self, direction):
         x = random_complex(np.random.default_rng(15), 64)
         before = x.copy()
