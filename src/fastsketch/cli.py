@@ -495,7 +495,8 @@ def _run_recover(config: dict) -> dict:
 
     def one_trial(t: int) -> dict:
         op = build_sketch(d, config["m"], config["B"], config["kind"], _operator_seed(config, t))
-        # A real signal stays float64, so a real source applies it in real arithmetic.
+        # A real signal stays float64, so a real source measures it in float64
+        # and a noiseless solve runs in float64 (``RowSource.dtype``'s rule).
         if input_signal is not None:
             x = input_signal
         else:

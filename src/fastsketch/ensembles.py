@@ -102,9 +102,11 @@ class RowSource:
     def dtype(self) -> np.dtype:
         """The matrix's dtype, and so Phi's: complex128 for Fourier, float64 otherwise.
 
-        A per-kind fact, so reading it builds no plan: ``sketch.columns``
-        and MC-RIP read it on sources that are never applied, and the
-        solvers pick their working dtype by it.
+        The one dtype rule: ``densify``, ``sketch.columns`` and
+        ``sketch.densify_sketch`` return it, and every product and solve
+        runs in ``np.result_type(src.dtype, input)``, extended-precision
+        input rounded to double first (``_check_last_axis``).  A per-kind
+        fact, so reading it builds no plan.
         """
         return np.dtype(np.complex128 if self.kind == "partial_fourier" else np.float64)
 
@@ -185,9 +187,12 @@ def _indices(values, d: int, what: str) -> np.ndarray:
 
 
 def _check_last_axis(x: np.ndarray, length: int, what: str) -> np.ndarray:
+    """x as an array of that last-axis length, extended precision rounded to double."""
     x = np.asarray(x)
     if x.ndim == 0 or x.shape[-1] != length:
         raise ValueError(f"{what}: expected last-axis length {length}, got shape {x.shape}")
+    if x.dtype in (np.longdouble, np.clongdouble):  # every product runs in double
+        return x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
     return x
 
 
@@ -333,21 +338,21 @@ def _fourier_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
 
 
 def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
-    """Compute A @ x along the last axis in O(d log d), as complex128.
+    """Compute A @ x along the last axis in O(d log d).
 
-    Hadamard sources run the full transform and gather the sampled rows;
-    Fourier sources, for real and complex input, run one ``dft`` call on
-    x's stride subsequences and combine the gathered bins (``_fourier_rows``).
+    Its dtype follows ``RowSource.dtype``'s rule.  Hadamard sources run
+    the full transform and gather the sampled rows; Fourier sources, for
+    real and complex input, run one ``dft`` call on x's stride
+    subsequences and combine the gathered bins (``_fourier_rows``).
     Circulant sources convolve with eps and keep the first M entries, by
     the plan's overlap-save blocks: d/P block ``rfft`` rows of length L,
-    products with the plan's window
-    spectra summed over blocks, one ``irfft`` of length L per row (with
-    one block, P = L = d: one length-d ``rfft`` and ``irfft``).  Gaussian
-    sources multiply by the real matrix.  These keep real input real, so
-    only the M gathered rows are cast to complex128.
-    Circulant and Gaussian sources map complex input part by part, so a
-    zero imaginary part stays exactly zero, as it does through ``fwht``.
-    The result is a fresh C-contiguous array, and each of its rows is
+    products with the plan's window spectra summed over blocks, one
+    ``irfft`` of length L per row (with one block, P = L = d: one
+    length-d ``rfft`` and ``irfft``); for real input the rows are a
+    strided view of that fresh ``irfft`` output.  Gaussian sources
+    multiply by the real matrix.  Circulant and Gaussian sources map
+    complex input part by part, so a zero imaginary part stays exactly
+    zero, as it does through ``fwht``.  Each row of the result is
     computed on its own, so it does not depend on the rows beside it.
     """
     x = _check_last_axis(x, src.d, "apply_rows")
@@ -377,21 +382,19 @@ def apply_rows(src: RowSource, x: np.ndarray) -> np.ndarray:
             return np.fft.irfft(spectrum, L)[..., : src.M]
 
         y = _by_parts(convolve, x)
-    return y.astype(np.complex128, copy=False)
+    return y
 
 
 def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
     """Compute the conjugate-transpose product A* @ y along the last axis.
 
-    Real input on a real source (Hadamard, circulant, Gaussian) stays
-    real and returns float64; Fourier sources and complex input return
-    complex128.  Circulant and Gaussian sources map complex input part by
-    part, so a zero imaginary part stays exactly zero.  A circulant row
-    costs one ``rfft`` of length L (y zero-padded) and d/P ``irfft`` rows
-    of length L against the plan's conjugate window spectra, P entries
-    kept of each (``_plan``; with one block, P = L = d: one length-d
-    ``irfft``).  A Fourier adjoint scatters into a d-length buffer and
-    runs the full inverse transform.  As in
+    Its dtype follows ``RowSource.dtype``'s rule.  Circulant and Gaussian
+    sources map complex input part by part, so a zero imaginary part
+    stays exactly zero.  A circulant row costs one ``rfft`` of length L
+    (y zero-padded) and d/P ``irfft`` rows of length L against the plan's
+    conjugate window spectra, P entries kept of each (``_plan``; with one
+    block, P = L = d: one length-d ``irfft``).  A Fourier adjoint scatters
+    into a d-length buffer and runs the full inverse transform.  As in
     ``apply_rows``, each row is computed on its own.
     """
     y = _check_last_axis(y, src.M, "apply_rows_adjoint")
@@ -419,6 +422,7 @@ def apply_rows_adjoint(src: RowSource, y: np.ndarray) -> np.ndarray:
         P, L, conj_k = _plan(src)
 
         def correlate(v):
+            v = np.asarray(v, dtype=np.float64)  # numpy transforms float32 in single precision
             spectra = np.multiply(conj_k, np.fft.rfft(v, L)[..., None, :])
             return np.fft.irfft(spectra, L)[..., :P].reshape(v.shape[:-1] + (src.d,))
 
@@ -475,7 +479,7 @@ def _source_block(src: RowSource, cols: np.ndarray, r0: int, r1: int) -> np.ndar
 
 
 def densify(src: RowSource, *, cap: int = DENSIFY_CAP) -> np.ndarray:
-    """Materialize A as an explicit M x d complex matrix (test oracle).
+    """Materialize A as an explicit M x d matrix of ``src.dtype`` (test oracle).
 
     Refuses when M * d exceeds ``cap``.
     """
@@ -484,4 +488,4 @@ def densify(src: RowSource, *, cap: int = DENSIFY_CAP) -> np.ndarray:
             f"densify would materialize {src.M}x{src.d} = {src.M * src.d} entries, "
             f"exceeding the cap of {cap}"
         )
-    return _source_block(src, np.arange(src.d), 0, src.M).astype(np.complex128, copy=False)
+    return _source_block(src, np.arange(src.d), 0, src.M)

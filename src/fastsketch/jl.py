@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fastsketch.ensembles import _check_last_axis
 from fastsketch.rng import derive_seed, signs, stream
 from fastsketch.sketch import SketchOperator, _row_blocks, apply
 
@@ -29,20 +30,19 @@ def jl_embed(op: SketchOperator, points: np.ndarray, seed: int) -> np.ndarray:
     """Embed an (N, d) point set into dimension m.
 
     Draws one sign vector xi in {+-1}^d from ``seed`` (purpose tag
-    ``"jl-diagonal"``) and returns ``apply(op, xi * x)`` for every point;
-    a 1-D input is treated as a single point.  The points are signed and
-    applied one of ``apply``'s row blocks at a time, so no (N, d) product is
-    formed and each point's embedding is the one it gets on its own.  Raises
+    ``"jl-diagonal"``) and returns ``apply(op, xi * x)`` for every point,
+    in ``RowSource.dtype``'s rule; a 1-D input is treated as a single
+    point.  The points are signed and applied one of ``apply``'s row
+    blocks at a time, so no (N, d) product is formed and each point's
+    embedding is the one it gets on its own.  Raises
     ``ValueError`` when the embedding is not finite, which a NaN or inf
     coordinate always causes.
     """
-    pts = np.asarray(points)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != op.d:
+    pts = _check_last_axis(np.atleast_2d(points), op.d, "jl_embed")
+    if pts.ndim != 2:
         raise ValueError(f"points must have shape (N, {op.d}), got {np.shape(points)}")
     xi = signs(stream(derive_seed(seed, 0, "jl-diagonal")), op.d)
-    out = np.empty((pts.shape[0], op.m), dtype=np.complex128)
+    out = np.empty((pts.shape[0], op.m), dtype=np.result_type(op.source.dtype, pts))
     with np.errstate(invalid="ignore", over="ignore"):
         # apply's own partition, so each call is one whole block of apply's
         # loop: only that block is ever signed, and a larger slice would be

@@ -8,9 +8,8 @@ does not hold and returns the block itself when asked for the support
 it holds.  Phi of a sparse iterate is its columns times its values, so
 an iteration costs one ``apply_adjoint``, one top-k partition of its
 output, and work on the support alone.
-A solve runs in its problem's own dtype: float64 when Phi is real
-(Hadamard, circulant and Gaussian sources) and the measurements have no
-nonzero imaginary part, complex128 otherwise; estimates are complex128.
+A solve runs in ``RowSource.dtype``'s rule for Phi and the measurements;
+estimates are complex128.
 Thresholding keeps the entries of largest modulus, breaking ties toward
 the smaller index.
 """
@@ -21,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fastsketch.ensembles import _check_last_axis
 # ``apply`` is unused here but stays importable as ``recovery.apply``:
 # the tracer self-test in perfbench/ checks that alias.
 from fastsketch.sketch import SketchOperator, apply, apply_adjoint, columns  # noqa: F401
@@ -212,12 +212,8 @@ class _Work:
 
 
 def _validated(op: SketchOperator, y: np.ndarray, k: int, max_iters: int, tol: float) -> np.ndarray:
-    """Check a solver's arguments; return the measurements in the working dtype.
-
-    That is float64 when Phi is real (``op.source.dtype``) and y has no
-    nonzero imaginary part, and complex128 otherwise.
-    """
-    y = np.asarray(y)
+    """Check a solver's arguments; return y in ``RowSource.dtype``'s rule."""
+    y = _check_last_axis(y, op.m, "measurements")
     if y.shape != (op.m,):
         raise ValueError(f"measurements must have shape ({op.m},), got {y.shape}")
     if not np.all(np.isfinite(y)):
@@ -230,9 +226,7 @@ def _validated(op: SketchOperator, y: np.ndarray, k: int, max_iters: int, tol: f
         raise ValueError("max_iters must be at least 1")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    if op.source.dtype == np.complex128 or np.any(np.imag(y)):
-        return y.astype(np.complex128, copy=False)
-    return np.real(y).astype(np.float64, copy=False)
+    return y.astype(np.result_type(op.source.dtype, y), copy=False)
 
 
 def _solve(op: SketchOperator, y: np.ndarray, k: int, max_iters: int, tol: float, update):

@@ -134,11 +134,12 @@ def build_sketch(d: int, m: int, B: int, kind: str, seed: int) -> SketchOperator
 
 
 def apply(op: SketchOperator, x: np.ndarray) -> np.ndarray:
-    """Compute (1/sqrt(mB)) * Phi @ x along the last axis, as complex128.
+    """Compute (1/sqrt(mB)) * Phi @ x along the last axis.
 
-    One fast source multiply, then signed bucket sums: O(d log d + mB)
-    per vector.  A batch runs through the source a block of rows at a
-    time (``_ROW_BLOCK_ENTRIES`` input entries), each block's sums going
+    Its dtype follows ``RowSource.dtype``'s rule.  One fast source
+    multiply, then signed bucket sums: O(d log d + mB) per vector.  A
+    batch runs through the source a block of rows at a time
+    (``_ROW_BLOCK_ENTRIES`` input entries), each block's sums going
     straight into the output, so a call holds one block's transform
     buffers beyond its output; a 1-D input is a block of one row.  Every
     step treats each row on its own, so a row's output does not depend on
@@ -149,7 +150,7 @@ def apply(op: SketchOperator, x: np.ndarray) -> np.ndarray:
     """
     x = _check_last_axis(x, op.d, "apply")
     rows = x.reshape(-1, op.d)
-    out = np.empty((rows.shape[0], op.m), dtype=np.complex128)
+    out = np.empty((rows.shape[0], op.m), dtype=np.result_type(op.source.dtype, x))
     for block in _row_blocks(rows.shape[0], op.d):
         _bucket_sums(op, apply_rows(op.source, rows[block]), out[block])
     return out.reshape(x.shape[:-1] + (op.m,))
@@ -158,27 +159,27 @@ def apply(op: SketchOperator, x: np.ndarray) -> np.ndarray:
 def _bucket_sums(op: SketchOperator, y: np.ndarray, out: np.ndarray) -> None:
     """out = scale * (signed bucket sums of the source rows y), y of shape (k, m*B).
 
-    As in ``columns``: one (1 x B) @ (B x 2) product per row and bucket, on
-    the float64 view of y (real and imaginary parts side by side), written
-    straight into out.  Each row's sums come from the same products
-    whatever the batch, where ``np.sum`` over the bucket axis picks its
-    order of additions from the whole array's shape.
+    As in ``columns``: one (1 x B) @ (B x 1) product per row and bucket,
+    or (1 x B) @ (B x 2) on the float64 view of complex y (real and
+    imaginary parts side by side), written straight into out.  Each row's
+    sums come from the same products whatever the batch, where ``np.sum``
+    over the bucket axis picks its order of additions from the whole
+    array's shape.
     """
-    terms = y.view(np.float64).reshape(y.shape[0], op.m, op.B, 2)
-    np.matmul(op.signs[:, None, :], terms, out=out.view(np.float64).reshape(y.shape[0], op.m, 1, 2))
+    terms = y.view(np.float64).reshape(y.shape[0], op.m, op.B, -1)
+    np.matmul(op.signs[:, None, :], terms, out=out.view(np.float64).reshape(y.shape[0], op.m, 1, -1))
     out *= op.scale
 
 
 def apply_adjoint(op: SketchOperator, z: np.ndarray) -> np.ndarray:
     """Compute (1/sqrt(mB)) * Phi* @ z along the last axis.
 
-    Real input on a Hadamard, circulant or Gaussian source (whose Phi is
-    real) stays real and returns float64; Fourier sources and complex
-    input return complex128.  As in ``apply``, each row is computed on its
-    own, and NaN and inf propagate into the output unchecked.
+    Its dtype follows ``RowSource.dtype``'s rule; the float64 signs
+    promote int, float32 and complex64 input.  As in ``apply``, each row
+    is computed on its own, and NaN and inf propagate into the output
+    unchecked.
     """
     z = _check_last_axis(z, op.m, "apply_adjoint")
-    z = z.astype(np.complex128 if np.iscomplexobj(z) else np.float64, copy=False)
     w = (op.scale * op.signs) * z[..., :, None]
     return apply_rows_adjoint(op.source, w.reshape(z.shape[:-1] + (op.m * op.B,)))
 
@@ -186,10 +187,9 @@ def apply_adjoint(op: SketchOperator, z: np.ndarray) -> np.ndarray:
 def columns(op: SketchOperator, support: np.ndarray) -> np.ndarray:
     """(1/sqrt(mB)) * Phi[:, support], shape (..., m, k) for a support (..., k).
 
-    The block has the source's own dtype: float64 for Hadamard, circulant
-    and Gaussian sources, whose Phi is real, and complex128 for Fourier
-    sources.  Signed bucket sums of the source's closed-form columns,
-    O(mB) per column with no transform.  The source block is built a few
+    The block has the source's own dtype (``RowSource.dtype``).  Signed
+    bucket sums of the source's closed-form columns, O(mB) per column
+    with no transform.  The source block is built a few
     buckets at a time (about ``_BLOCK_ENTRIES`` float64 entries) and
     summed at once, as a batched (1 x B) @ (B x k) matmul per bucket
     written straight into the output, so no (m*B, k) block is ever held,
@@ -213,8 +213,7 @@ def columns(op: SketchOperator, support: np.ndarray) -> np.ndarray:
 def densify_sketch(op: SketchOperator, *, cap: int = DENSIFY_CAP) -> np.ndarray:
     """Materialize the m x d operator, row b = scale * sum_i signs[b,i] a_{h(b,i)}.
 
-    Read through ``columns``, so it has the source's dtype: float64 for
-    Hadamard, circulant and Gaussian sources, complex128 for Fourier.
+    Read through ``columns``, so it has the source's dtype.
     """
     if op.m * op.d > cap:
         raise ValueError(

@@ -21,7 +21,7 @@ from fastsketch.cli import (
 from fastsketch import cli
 from fastsketch.jl import distortion_report, jl_embed, read_point_set, write_point_set
 from fastsketch.rng import derive_seed, stream
-from fastsketch.sketch import build_sketch
+from fastsketch.sketch import apply, build_sketch
 
 
 def read_json(path):
@@ -400,6 +400,26 @@ def test_apply_roundtrip(tmp_path):
                  "--out", str(tmp_path / "apply.json")]) == EXIT_OK
     embedded = read_point_set(dst)
     assert embedded.shape == (4, 8)
+
+
+@pytest.mark.parametrize("kind", ["fourier", "hadamard", "circulant", "gaussian"])
+def test_apply_and_jl_outputs_are_the_library_products(tmp_path, kind):
+    # --output writes exactly what apply and jl_embed return, in Phi's
+    # dtype for real points: complex=1 only on a Fourier source.
+    pts = np.random.default_rng(4).standard_normal((3, 32))
+    src = tmp_path / "in.csv"
+    write_point_set(src, pts)
+    common = ["--d", "32", "--m", "8", "--B", "2", "--kind", kind, "--seed", "3", "--input", str(src)]
+    header = f"d=8,complex={int(kind == 'fourier')}"
+    op = build_sketch(32, 8, 2, kind, derive_seed(3, 0, "operator"))
+    for command, want in (
+        (["apply"], apply(op, pts)),
+        (["jl", "--trials", "1"], jl_embed(op, pts, derive_seed(3, 0, "jl"))),
+    ):
+        dst = tmp_path / f"{command[0]}.csv"
+        assert main(command + common + ["--output", str(dst), "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert dst.read_text().splitlines()[0] == header
+        assert np.array_equal(read_point_set(dst), want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -206,7 +206,7 @@ def test_real_input_matches_complex_path(kind, d):
     x = np.random.default_rng(d).standard_normal((2, d))
     expected = apply_rows(src, x + 0j)
     out = apply_rows(src, x)
-    assert out.dtype == np.complex128
+    assert out.dtype == src.dtype
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 

@@ -510,16 +510,27 @@ def test_solvers_make_no_dense_round_trip(solver, kind, monkeypatch):
     np.testing.assert_allclose(res.estimate.values, x[support], rtol=1e-9)
 
 
-@pytest.mark.parametrize("signal", ["real", "complex"])
-@pytest.mark.parametrize("kind", KINDS)
+#: (kind, signal) cases of ``test_working_dtype``: "zero-imaginary" is real
+#: measurements of a real Phi typed complex128, so it skips Fourier.
+WORKING_DTYPE_CASES = [(kind, signal) for signal in ("real", "complex") for kind in KINDS] + [
+    (kind, "zero-imaginary") for kind in KINDS if kind != "fourier"
+]
+
+
+@pytest.mark.parametrize("kind, signal", WORKING_DTYPE_CASES, ids=["-".join(c) for c in WORKING_DTYPE_CASES])
 @pytest.mark.parametrize("solver", [iht, cosamp])
 def test_working_dtype(solver, kind, signal, monkeypatch):
-    # Real problems (a real Phi and measurements with no imaginary part)
-    # solve in float64, adjoints and column blocks included; the rest in
-    # complex128.
+    # A solve runs in np.result_type(Phi's dtype, y), adjoints and column
+    # blocks included: float64 for a real Phi and real measurements,
+    # complex128 otherwise, even for complex-typed measurements whose
+    # imaginary part is exactly zero; those match the float64 solve to
+    # rounding, with the same support, iterations and stop reason.
     op, x, _ = measured_instance(kind, 0.0, seed=101)
-    x = x.real if signal == "real" else 1j * x.real
+    x = 1j * x.real if signal == "complex" else x.real
     y = apply(op, x)
+    if signal == "zero-imaginary":
+        y = y.astype(np.complex128)
+        real_solve = solver(op, y.real, 5)
     expected = np.float64 if kind != "fourier" and signal == "real" else np.complex128
     dtypes = set()
     adjoint, block = recovery.apply_adjoint, recovery._Work.columns
@@ -540,6 +551,11 @@ def test_working_dtype(solver, kind, signal, monkeypatch):
     assert dtypes == {np.dtype(expected)}
     assert res.estimate.values.dtype == np.complex128
     assert np.linalg.norm(res.estimate.to_dense() - x) <= 1e-9 * np.linalg.norm(x)
+    if signal == "zero-imaginary":
+        want = real_solve.estimate
+        np.testing.assert_array_equal(res.estimate.support, want.support)
+        assert np.linalg.norm(res.estimate.values - want.values) <= 1e-12 * np.linalg.norm(want.values)
+        assert (res.iterations_used, res.stop_reason) == (real_solve.iterations_used, real_solve.stop_reason)
 
 
 def test_iht_reads_only_the_columns_its_supports_gain():

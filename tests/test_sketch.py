@@ -159,11 +159,11 @@ def test_apply_matches_dense(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_apply_real_input_is_complex_and_matches_dense(kind):
+def test_apply_real_input_has_phis_dtype_and_matches_dense(kind):
     op = build_sketch(64, 4, 8, kind, seed=31)
     x = np.random.default_rng(7).standard_normal((3, 64))
     out = apply(op, x)
-    assert out.dtype == np.complex128
+    assert out.dtype == op.source.dtype == COLUMN_DTYPES[kind]
     np.testing.assert_allclose(out, x @ densify_sketch(op).T, atol=1e-10)
 
 
@@ -207,6 +207,60 @@ def test_adjoint_dtype_contract(kind, shape):
     np.testing.assert_allclose(real, via_complex, rtol=0, atol=1e-12)
     np.testing.assert_allclose(real, z @ densify_sketch(op).conj(), rtol=0, atol=1e-10)
     assert apply_adjoint(op, z + 1j * z).dtype == np.complex128
+
+
+#: Input dtypes of ``test_dtype_contract``.
+CONTRACT_INPUTS = (np.int64, np.float32, np.float64, np.complex64, np.complex128)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_dtype_contract(kind):
+    # One rule, RowSource.dtype: every product returns
+    # np.result_type(Phi's dtype, input), 1-D and batched, with the values
+    # of the input cast to double (float64 or complex128) first; the
+    # matrix readers return Phi's own dtype.
+    op = build_sketch(64, 4, 8, kind, seed=59)
+    src = op.source
+    products = {
+        "apply_rows": (lambda v: ensembles.apply_rows(src, v), src.d),
+        "apply_rows_adjoint": (lambda v: ensembles.apply_rows_adjoint(src, v), src.M),
+        "apply": (lambda v: apply(op, v), op.d),
+        "apply_adjoint": (lambda v: apply_adjoint(op, v), op.m),
+        # jl_embed takes an (N, d) point set: the batch is its 6 rows.
+        "jl_embed": (lambda v: jl_embed(op, v.reshape(-1, op.d), seed=3), op.d),
+    }
+    rng = np.random.default_rng(19)
+    for name, (product, n) in products.items():
+        for shape in ((n,), (2, 3, n)):
+            values = rng.integers(-4, 5, size=shape) + 1j * rng.integers(-4, 5, size=shape)
+            values = values + rng.standard_normal(shape) / 8
+            for dtype in CONTRACT_INPUTS:
+                real = not np.issubdtype(dtype, np.complexfloating)
+                v = (values.real if real else values).astype(dtype)
+                got = product(v)
+                assert got.dtype == np.result_type(src.dtype, v), (name, shape, dtype)
+                double = v.astype(np.result_type(v, np.float64))
+                np.testing.assert_array_equal(got, product(double), err_msg=f"{name} {dtype}")
+    assert densify(src).dtype == src.dtype == COLUMN_DTYPES[kind]
+    assert columns(op, np.arange(5)).dtype == densify_sketch(op).dtype == src.dtype
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_extended_precision_input_is_rounded_to_double(kind):
+    # The products run in double precision, so longdouble input gives the
+    # product of its double rounding, in RowSource.dtype's rule.
+    op = build_sketch(64, 4, 8, kind, seed=59)
+    x = random_complex(np.random.default_rng(23), 64)
+    z = random_complex(np.random.default_rng(29), 4)
+    for rounded, wide in ((x.real, np.longdouble), (x, np.clongdouble)):
+        got = apply(op, rounded.astype(wide))
+        assert got.dtype == np.result_type(op.source.dtype, rounded)
+        np.testing.assert_array_equal(got, apply(op, rounded))
+        np.testing.assert_array_equal(jl_embed(op, rounded.astype(wide), 5), jl_embed(op, rounded, 5))
+    for rounded, wide in ((z.real, np.longdouble), (z, np.clongdouble)):
+        got = apply_adjoint(op, rounded.astype(wide))
+        assert got.dtype == np.result_type(op.source.dtype, rounded)
+        np.testing.assert_array_equal(got, apply_adjoint(op, rounded))
 
 
 @pytest.mark.parametrize("shape", [(), (3,)], ids=["1-D", "3xn"])
@@ -278,7 +332,7 @@ def test_batched_apply_matches_loop(monkeypatch):
         op = build_sketch(d, 4, 8, kind, seed=53)
         for xs in (rng.standard_normal((8, d)), random_complex(rng, 8 * d).reshape(8, d)):
             batched = apply(op, xs)
-            assert batched.shape == (8, op.m) and batched.dtype == np.complex128
+            assert batched.shape == (8, op.m) and batched.dtype == np.result_type(op.source.dtype, xs)
             for i in range(8):
                 np.testing.assert_array_equal(batched[i], apply(op, xs[i]))
             np.testing.assert_array_equal(apply(op, xs.reshape(2, 4, d)), batched.reshape(2, 4, -1))
